@@ -40,7 +40,21 @@ int main() {
   struct component_stats {
     util::running_stats total, t1, t2, cloud;
   };
-  std::map<group_id, component_stats> components;
+  /// Folds each successful response into its level's component means.
+  struct component_sink final : core::response_sink {
+    std::map<group_id, component_stats> components;
+    void on_response(const workload::offload_request&,
+                     const core::request_timing& t, group_id group) override {
+      if (!t.success) return;
+      auto& c = components[group];
+      c.total.add(t.total());
+      c.t1.add(t.t1());
+      c.t2.add(t.t2());
+      c.cloud.add(t.cloud);
+    }
+  };
+  component_sink sink;
+  const auto& components = sink.components;
 
   {
     sim::simulation sim;
@@ -53,6 +67,7 @@ int main() {
     core::sdn_config config;
     core::sdn_accelerator sdn{sim,  backend, net::default_lte_model(),
                               &log, config,  rng.fork()};
+    sdn.set_response_sink(&sink);
 
     // 30 concurrent users fire the static minimax at each level, several
     // rounds with cool-downs.
@@ -69,16 +84,7 @@ int main() {
             request.user = static_cast<user_id>(u);
             request.work = minimax;
             request.created_at = sim.now();
-            sdn.submit(request, group, 1.0,
-                       [&components, group](const workload::offload_request&,
-                                            const core::request_timing& t) {
-                         if (!t.success) return;
-                         auto& c = components[group];
-                         c.total.add(t.total());
-                         c.t1.add(t.t1());
-                         c.t2.add(t.t2());
-                         c.cloud.add(t.cloud);
-                       });
+            sdn.submit(request, group, 1.0);
           });
         }
       }

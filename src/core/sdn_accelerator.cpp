@@ -73,25 +73,12 @@ void sdn_accelerator::release_slot(std::uint32_t slot) noexcept {
     sim_.cancel(s.timeout);
     s.timeout = {};
   }
-  s.on_response = nullptr;
   s.next_free = free_head_;
   free_head_ = slot;
 }
 
 void sdn_accelerator::submit(const workload::offload_request& request,
-                             group_id group, double battery,
-                             response_fn on_response) {
-  start(request, group, battery, std::move(on_response));
-}
-
-void sdn_accelerator::submit(const workload::offload_request& request,
                              group_id group, double battery) {
-  start(request, group, battery, nullptr);
-}
-
-void sdn_accelerator::start(const workload::offload_request& request,
-                            group_id group, double battery,
-                            response_fn on_response) {
   ++received_;
   if (obs_ != nullptr) obs_->add(obs::counter::sdn_requests);
   // The channel stays open for the whole operation, so both external legs
@@ -107,7 +94,6 @@ void sdn_accelerator::start(const workload::offload_request& request,
   s.timing = {};
   s.timing.mobile_to_front = external_one_way;
   s.timing.front_to_mobile = external_one_way;
-  s.on_response = std::move(on_response);
   s.attempt = 0;
   s.seq = received_;
   ++s.epoch;  // orphan any stale backend completion from a prior occupant
@@ -138,13 +124,10 @@ void sdn_accelerator::stage_routing(std::uint32_t slot) {
     }
     routing_samples_[s.group].push_back(overhead);
   }
-  sim_.schedule_after(overhead, [this, slot] { stage_to_backend(slot); });
-}
-
-void sdn_accelerator::stage_to_backend(std::uint32_t slot) {
-  pool_[slot].timing.front_to_back = config_.backend_one_way_ms;
-  sim_.schedule_after(config_.backend_one_way_ms,
-                      [this, slot] { stage_dispatch(slot); });
+  // The hop to the back-end is a fixed delay: arithmetic, not an event.
+  s.timing.front_to_back = config_.backend_one_way_ms;
+  sim_.schedule_at((sim_.now() + overhead) + config_.backend_one_way_ms,
+                   [this, slot] { stage_dispatch(slot); });
 }
 
 void sdn_accelerator::stage_dispatch(std::uint32_t slot) {
@@ -173,30 +156,27 @@ void sdn_accelerator::stage_return(std::uint32_t slot,
   inflight& s = pool_[slot];
   s.timing.cloud = service_time;
   s.timing.back_to_front = config_.backend_one_way_ms;
-  sim_.schedule_after(config_.backend_one_way_ms,
-                      [this, slot] { stage_logged(slot); });
-}
-
-void sdn_accelerator::stage_logged(std::uint32_t slot) {
-  inflight& s = pool_[slot];
-  // The trace point: observer and (optionally retained) log record fire in
-  // the same event, in the same order the legacy chain appended.
+  // The trace point.  The record reaches the front-end one hop from now;
+  // the sink gets that time rather than an event of its own.
   if (log_ != nullptr && config_.log_traces) {
-    if (on_trace_) {
-      on_trace_(s.request.created_at, s.request.user, s.group);
+    if (sink_ != nullptr) {
+      sink_->on_trace(s.request, s.group,
+                      sim_.now() + config_.backend_one_way_ms);
     }
     if (config_.retain_trace_records) {
       log_->append({s.request.created_at, s.request.user, s.group, s.battery,
                     s.timing.total()});
     }
   }
-  finish(slot, true);
+  respond(slot, true, config_.backend_one_way_ms);
 }
 
-void sdn_accelerator::finish(std::uint32_t slot, bool success) {
-  pool_[slot].timing.success = success;
-  sim_.schedule_after(pool_[slot].timing.front_to_mobile,
-                      [this, slot] { deliver(slot); });
+void sdn_accelerator::respond(std::uint32_t slot, bool success,
+                              util::time_ms delay) {
+  inflight& s = pool_[slot];
+  s.timing.success = success;
+  sim_.schedule_at((sim_.now() + delay) + s.timing.front_to_mobile,
+                   [this, slot] { deliver(slot); });
 }
 
 void sdn_accelerator::deliver(std::uint32_t slot) {
@@ -238,25 +218,13 @@ void sdn_accelerator::deliver(std::uint32_t slot) {
     span.arg_b = s.timing.success ? 1 : 0;
     tracer_->ring(trace_ring_).push(span);
   }
-  if (s.on_response) {
-    // Legacy per-request callback: move state out so the callback may
-    // reenter submit() (which can recycle or grow the pool).
-    response_fn fn = std::move(s.on_response);
-    const workload::offload_request request = s.request;
-    const request_timing timing = s.timing;
-    release_slot(slot);
-    fn(request, timing);
-    return;
-  }
-  if (sink_ != nullptr) {
-    const workload::offload_request request = s.request;
-    const request_timing timing = s.timing;
-    const group_id group = s.group;
-    release_slot(slot);
-    sink_->on_response(request, timing, group);
-    return;
-  }
+  // Copy out before releasing: the sink may reenter submit(), which can
+  // recycle or grow the pool.
+  const workload::offload_request request = s.request;
+  const request_timing timing = s.timing;
+  const group_id group = s.group;
   release_slot(slot);
+  if (sink_ != nullptr) sink_->on_response(request, timing, group);
 }
 // mca:hot-path-end
 
@@ -328,15 +296,14 @@ void sdn_accelerator::attempt_failed(std::uint32_t slot) {
         s.request.work.work_units() / config_.local_exec_wu_per_ms;
     s.timing.cloud = local_ms;
     s.timing.local = true;
-    sim_.schedule_after(local_ms, [this, slot] { finish(slot, true); });
+    respond(slot, true, local_ms);
     return;
   }
   // Retry budget exhausted, no fallback: the failure notice still pays
   // the return hops (identical to the pre-retry rejection path).
   s.timing.cloud = 0.0;
   s.timing.back_to_front = config_.backend_one_way_ms;
-  sim_.schedule_after(config_.backend_one_way_ms,
-                      [this, slot] { finish(slot, false); });
+  respond(slot, false, config_.backend_one_way_ms);
 }
 // mca:hot-path-end
 

@@ -10,14 +10,22 @@
 // is logged as a trace record — the knowledge base of the predictor.
 //
 // Hot-path layout: each accepted request occupies one slot in a pooled
-// slab of in-flight states (free-listed, reused), and every stage of the
-// event chain is a member function scheduled with a [this, slot] lambda —
-// small enough for std::function's inline storage.  The steady-state
-// request path performs no heap allocation; the legacy per-request
-// `response_fn` overload survives for tests and characterization benches.
+// slab of in-flight states (free-listed, reused).  A stage is a simulation
+// event only where its handler draws randomness or reads shared state, so
+// a request costs three SDN events: routing (draws the handler overhead),
+// dispatch (routes on the back-end's current state) and deliver (counts
+// and reports).  Routing stays an event rather than folding into submit()
+// because its overhead draw must keep its place in the rng stream.  The
+// fixed hops are arithmetic: routing schedules dispatch T_f→b after its
+// overhead, and every response (back-end success, local fallback, failure
+// notice) goes through respond(), which schedules deliver after T_b→f (or
+// the local run) plus T_f→m.  The trace point fires at back-end
+// completion with the time its record reaches the front-end.  Events are
+// [this, slot] lambdas, small enough for std::function's inline storage,
+// and all output goes to one response_sink, so the steady-state request
+// path performs no heap allocation.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "cloud/backend_pool.h"
@@ -101,24 +109,24 @@ struct request_timing {
   util::time_ms total() const noexcept { return t1() + t2() + cloud; }
 };
 
-/// Invoked at the mobile when the result (or the failure notice) arrives.
-using response_fn = std::function<void(const workload::offload_request&,
-                                       const request_timing&)>;
-
-/// Zero-allocation response delivery: the closed-loop system implements
-/// this once instead of allocating a response closure per request.
-/// `group` is the acceleration group the request was routed to.
+/// The pipeline's one output interface, installed once instead of a
+/// closure per request (the closed-loop system, tests and benches each
+/// implement it).  `group` is the acceleration group the request was
+/// routed to.
 class response_sink {
  public:
   virtual ~response_sink() = default;
+  /// The result (or the failure notice) arrives at the mobile.
   virtual void on_response(const workload::offload_request& request,
                            const request_timing& timing, group_id group) = 0;
+  /// The trace point, where a successful request enters the log (only
+  /// while a log is attached and `log_traces` is on).  Called when the
+  /// back-end completes; `logged_at` is when the record reaches the
+  /// front-end, one backend_one_way_ms later.  Lets the owner stream
+  /// per-slot state without re-scanning the log.  Ignored by default.
+  virtual void on_trace(const workload::offload_request& /*request*/,
+                        group_id /*group*/, util::time_ms /*logged_at*/) {}
 };
-
-/// Observer of the trace point (where processed requests enter the log);
-/// lets the owner stream per-slot state without re-scanning the log.
-using trace_fn = std::function<void(util::time_ms created_at, user_id user,
-                                    group_id group)>;
 
 /// The front-end component.
 class sdn_accelerator {
@@ -129,16 +137,12 @@ class sdn_accelerator {
                   sdn_config config, util::rng rng);
 
   /// Accepts one offloading request destined for acceleration `group`.
-  /// `battery` is the device's charge level, logged with the trace.
-  void submit(const workload::offload_request& request, group_id group,
-              double battery, response_fn on_response);
-
-  /// Pooled fast path: responses go to the installed sink (see
-  /// set_response_sink); no per-request callback state is allocated.
+  /// `battery` is the device's charge level, logged with the trace.  The
+  /// response goes to the installed sink (see set_response_sink).
   void submit(const workload::offload_request& request, group_id group,
               double battery);
 
-  /// Installs the response sink the payload-free submit() reports to.
+  /// Installs the response sink (nullptr = responses are only counted).
   void set_response_sink(response_sink* sink) noexcept { sink_ = sink; }
 
   /// Attaches the observability layer: `registry` (nullptr = counters
@@ -154,10 +158,6 @@ class sdn_accelerator {
     trace_ring_ = ring;
     trace_sample_every_ = sample_every == 0 ? 1 : sample_every;
   }
-  /// Installs the trace observer, invoked exactly where successful
-  /// requests are logged (same event, same order).
-  void set_trace_observer(trace_fn fn) { on_trace_ = std::move(fn); }
-
   /// Attaches a tail-exemplar reservoir (nullptr = off): every delivered
   /// response is offered at the sink, where its latency is known — the
   /// sampling decision 1-in-N head sampling cannot make.  Fixed after
@@ -182,7 +182,6 @@ class sdn_accelerator {
     request_timing timing;
     group_id group = 0;
     double battery = 1.0;
-    response_fn on_response;  ///< empty on the sink fast path
     std::uint32_t next_free = 0;
     // Retry bookkeeping: `attempt` counts dispatch tries, `epoch` guards
     // against stale backend completions (a timed-out attempt's completion
@@ -204,16 +203,15 @@ class sdn_accelerator {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
-  void start(const workload::offload_request& request, group_id group,
-             double battery, response_fn on_response);
   // Stages of the Fig. 7a chain, each fired by a [this, slot] event.
   void stage_routing(std::uint32_t slot);
-  void stage_to_backend(std::uint32_t slot);
   void stage_dispatch(std::uint32_t slot);
-  void stage_return(std::uint32_t slot, util::time_ms service_time);
-  void stage_logged(std::uint32_t slot);
-  void finish(std::uint32_t slot, bool success);
   void deliver(std::uint32_t slot);
+  /// Back-end success: the trace point, then the response.
+  void stage_return(std::uint32_t slot, util::time_ms service_time);
+  /// Every response path: deliver `delay` (return hop or local run) plus
+  /// T_f→m from now.
+  void respond(std::uint32_t slot, bool success, util::time_ms delay);
   // Resilience path (see the sdn-retry-path hot region): backend
   // completions funnel through the epoch guard; failed attempts retry
   // with backoff, fall back to local execution, or fail out.
@@ -236,7 +234,6 @@ class sdn_accelerator {
   /// leave the main stream untouched.
   std::uint64_t retry_seed_ = 0;
   response_sink* sink_ = nullptr;
-  trace_fn on_trace_;
   obs::registry* obs_ = nullptr;
   obs::exemplar_reservoir* exemplars_ = nullptr;
   obs::tracer* tracer_ = nullptr;

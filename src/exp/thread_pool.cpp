@@ -12,7 +12,7 @@ namespace mca::exp {
 /// simulations (milliseconds to seconds), so queue traffic is cold.
 struct thread_pool::worker_queue {
   std::mutex mutex;
-  std::deque<task> tasks;
+  std::deque<job> tasks;
 };
 
 std::size_t thread_pool::hardware_workers() noexcept {
@@ -42,7 +42,7 @@ thread_pool::~thread_pool() {
   for (auto& thread : threads_) thread.join();
 }
 
-void thread_pool::post(task fn) {
+void thread_pool::post(task fn, std::latch* done) {
   if (!fn) throw std::invalid_argument{"thread_pool: empty task"};
   std::size_t target = 0;
   {
@@ -55,7 +55,7 @@ void thread_pool::post(task fn) {
   }
   {
     std::lock_guard lock{queues_[target]->mutex};
-    queues_[target]->tasks.push_front(std::move(fn));
+    queues_[target]->tasks.push_front({std::move(fn), done});
   }
   // queued_ rises only after the task is actually in a deque: a worker
   // whose wait predicate sees queued_ > 0 is guaranteed to find work on
@@ -70,9 +70,9 @@ void thread_pool::post(task fn) {
   work_ready_.notify_one();
 }
 
-bool thread_pool::try_acquire(std::size_t self, task& out) {
+bool thread_pool::try_acquire(std::size_t self, job& out) {
   const auto claim = [this](worker_queue& queue, bool steal,
-                            task& slot) {
+                            job& slot) {
     std::lock_guard lock{queue.mutex};
     if (queue.tasks.empty()) return false;
     if (steal) {
@@ -103,12 +103,17 @@ bool thread_pool::try_acquire(std::size_t self, task& out) {
 
 void thread_pool::worker_loop(std::size_t self) {
   for (;;) {
-    task fn;
-    if (try_acquire(self, fn)) {
-      fn();
-      std::lock_guard lock{state_mutex_};
-      ++executed_;
-      if (--pending_ == 0) all_idle_.notify_all();
+    job next;
+    if (try_acquire(self, next)) {
+      next.fn();
+      {
+        std::lock_guard lock{state_mutex_};
+        ++executed_;
+        if (--pending_ == 0) all_idle_.notify_all();
+      }
+      // Released only once the task is counted: a parallel_for caller
+      // reads exact counters as soon as its latch opens.
+      if (next.done != nullptr) next.done->count_down();
       continue;
     }
     std::unique_lock lock{state_mutex_};

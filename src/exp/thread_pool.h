@@ -54,8 +54,10 @@ class thread_pool {
 
   /// Enqueues a task; round-robins across worker deques so independent
   /// submissions start spread out even before any stealing happens.
-  /// Throws std::invalid_argument on an empty task.
-  void post(task fn);
+  /// `done`, when set, is counted down after the task has run and been
+  /// counted in counters().executed, so a caller that waits on it reads
+  /// exact counters.  Throws std::invalid_argument on an empty task.
+  void post(task fn, std::latch* done = nullptr);
 
   /// Blocks until every task posted so far has finished executing.
   void wait_idle();
@@ -75,10 +77,14 @@ class thread_pool {
   static std::size_t hardware_workers() noexcept;
 
  private:
+  struct job {
+    task fn;
+    std::latch* done = nullptr;
+  };
   struct worker_queue;
 
   void worker_loop(std::size_t self);
-  bool try_acquire(std::size_t self, task& out);
+  bool try_acquire(std::size_t self, job& out);
 
   std::vector<std::unique_ptr<worker_queue>> queues_;
   std::vector<std::thread> threads_;
@@ -100,17 +106,15 @@ class thread_pool {
   bool stopping_ = false;
 };
 
-/// Runs fn(0) .. fn(n - 1) on the pool and blocks until all complete.
+/// Runs fn(0) .. fn(n - 1) on the pool and blocks until all complete;
+/// pool.counters() then already counts all n tasks.
 /// `fn` must not throw (wrap it if it can — see runner.h).
 template <typename Fn>
 void parallel_for(thread_pool& pool, std::size_t n, Fn&& fn) {
   if (n == 0) return;
   std::latch done{static_cast<std::ptrdiff_t>(n)};
   for (std::size_t i = 0; i < n; ++i) {
-    pool.post([&fn, &done, i] {
-      fn(i);
-      done.count_down();
-    });
+    pool.post([&fn, i] { fn(i); }, &done);
   }
   done.wait();
 }

@@ -16,6 +16,7 @@
 #include "exp/scenario.h"
 #include "fleet/fleet_runner.h"
 #include "net/operators.h"
+#include "recording_sink.h"
 #include "sim/simulation.h"
 #include "tasks/task.h"
 #include "util/sim_time.h"
@@ -322,11 +323,12 @@ TEST_F(SdnResilienceTest, TimeoutRetriesThenFallsBackLocally) {
   config_.local_exec_wu_per_ms = 1.0;
   core::sdn_accelerator sdn{sim_,    backend_, fixed_link(40.0),
                             &log_,   config_,  util::rng{2}};
-  core::request_timing observed;
-  sdn.submit(make_request(1), 1, 0.9,
-             [&](const workload::offload_request&,
-                 const core::request_timing& t) { observed = t; });
+  test::recording_sink sink{sim_};
+  sdn.set_response_sink(&sink);
+  sdn.submit(make_request(1), 1, 0.9);
   sim_.run();
+  ASSERT_EQ(sink.responses.size(), 1u);
+  const core::request_timing& observed = sink.responses[0].timing;
   EXPECT_TRUE(observed.success);
   EXPECT_TRUE(observed.local);
   // Local execution of the 280 wu task at 1 wu/ms.
@@ -348,11 +350,12 @@ TEST_F(SdnResilienceTest, RetryBudgetExhaustionDeliversFailureNotice) {
   config_.retry_backoff_cap_ms = 20.0;
   core::sdn_accelerator sdn{sim_,    backend_, fixed_link(40.0),
                             &log_,   config_,  util::rng{2}};
-  core::request_timing observed;
-  sdn.submit(make_request(1), 1, 0.9,
-             [&](const workload::offload_request&,
-                 const core::request_timing& t) { observed = t; });
+  test::recording_sink sink{sim_};
+  sdn.set_response_sink(&sink);
+  sdn.submit(make_request(1), 1, 0.9);
   sim_.run();
+  ASSERT_EQ(sink.responses.size(), 1u);
+  const core::request_timing& observed = sink.responses[0].timing;
   EXPECT_FALSE(observed.success);
   EXPECT_FALSE(observed.local);
   EXPECT_DOUBLE_EQ(observed.cloud, 0.0);
@@ -367,10 +370,9 @@ TEST_F(SdnResilienceTest, PreemptedInFlightRetriesOnSurvivingInstance) {
   config_.retry_backoff_cap_ms = 20.0;
   core::sdn_accelerator sdn{sim_,    backend_, fixed_link(40.0),
                             &log_,   config_,  util::rng{2}};
-  core::request_timing observed;
-  sdn.submit(make_request(1), 1, 0.9,
-             [&](const workload::offload_request&,
-                 const core::request_timing& t) { observed = t; });
+  test::recording_sink sink{sim_};
+  sdn.set_response_sink(&sink);
+  sdn.submit(make_request(1), 1, 0.9);
   // Dispatch lands at ~173 ms (20 uplink + 150 routing + 3 internal); at
   // 250 ms the job is mid-service.  A second instance comes up, then the
   // loaded one is spot-killed: the failure must re-dispatch to the
@@ -382,6 +384,8 @@ TEST_F(SdnResilienceTest, PreemptedInFlightRetriesOnSurvivingInstance) {
     EXPECT_EQ(strike.killed, 1u);
   });
   sim_.run();
+  ASSERT_EQ(sink.responses.size(), 1u);
+  const core::request_timing& observed = sink.responses[0].timing;
   EXPECT_TRUE(observed.success);
   EXPECT_FALSE(observed.local);
   EXPECT_NEAR(observed.cloud, 288.0, 1e-6);  // full re-execution
@@ -403,12 +407,12 @@ TEST_F(SdnResilienceTest, BackoffJitterIsDeterministicPerRequest) {
     r.id = 77;
     r.user = 1;
     r.work = pool_.static_minimax_request();
-    sdn.submit(r, 1, 0.9,
-               [&, run](const workload::offload_request&,
-                        const core::request_timing& t) {
-                 routing[run] = t.routing;
-               });
+    test::recording_sink sink{sim};
+    sdn.set_response_sink(&sink);
+    sdn.submit(r, 1, 0.9);
     sim.run();
+    ASSERT_EQ(sink.responses.size(), 1u);
+    routing[run] = sink.responses[0].timing.routing;
   }
   EXPECT_GT(routing[0], 150.0);  // backoff waits actually accrued
   EXPECT_EQ(routing[0], routing[1]);  // bit-identical across runs

@@ -5,10 +5,13 @@
 #include <vector>
 
 #include "net/operators.h"
+#include "recording_sink.h"
 #include "tasks/task.h"
 
 namespace mca::core {
 namespace {
+
+using test::recording_sink;
 
 /// Deterministic, fast mobile link for exact timing assertions.
 net::rtt_model fixed_link(double rtt_ms) {
@@ -59,12 +62,12 @@ TEST_F(SdnTest, TimingDecompositionIsExact) {
   backend_.launch(1, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{2}};
-  request_timing observed;
-  sdn.submit(make_request(1), 1, 0.9,
-             [&](const workload::offload_request&, const request_timing& t) {
-               observed = t;
-             });
+  recording_sink sink{sim_};
+  sdn.set_response_sink(&sink);
+  sdn.submit(make_request(1), 1, 0.9);
   sim_.run();
+  ASSERT_EQ(sink.responses.size(), 1u);
+  const request_timing& observed = sink.responses[0].timing;
   ASSERT_TRUE(observed.success);
   EXPECT_NEAR(observed.mobile_to_front, 20.0, 0.2);   // RTT/2
   EXPECT_NEAR(observed.front_to_mobile, 20.0, 0.2);
@@ -79,6 +82,43 @@ TEST_F(SdnTest, TimingDecompositionIsExact) {
               observed.t1() + observed.t2() + observed.cloud, 1e-9);
 }
 
+TEST_F(SdnTest, OneRequestCostsFourEvents) {
+  // Routing, dispatch, PS completion, deliver: the fixed hops between
+  // them are arithmetic, not events.
+  backend_.launch(1, exact_type());
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+                      util::rng{2}};
+  recording_sink sink{sim_};
+  sdn.set_response_sink(&sink);
+  sdn.submit(make_request(1), 1, 0.9);
+  sim_.run();
+  EXPECT_EQ(sim_.executed_events(), 4u);
+  ASSERT_EQ(sink.responses.size(), 1u);
+  // 20 uplink + 150 routing + 3 hop + 288 cloud + 3 hop + 20 downlink.
+  EXPECT_NEAR(sink.responses[0].at, 484.0, 1e-6);
+  EXPECT_NEAR(sink.responses[0].at - sink.responses[0].request.created_at,
+              sink.responses[0].timing.total(), 1e-9);
+}
+
+TEST_F(SdnTest, TraceHookFiresAtCompletionWithHopLaterLogTime) {
+  backend_.launch(1, exact_type());
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+                      util::rng{2}};
+  recording_sink sink{sim_};
+  sdn.set_response_sink(&sink);
+  sdn.submit(make_request(5), 1, 0.9);
+  sim_.run();
+  ASSERT_EQ(sink.traces.size(), 1u);
+  const auto& trace = sink.traces[0];
+  EXPECT_EQ(trace.request.user, 5u);
+  EXPECT_EQ(trace.group, 1u);
+  // The hook runs in the PS completion event (20 + 150 + 3 + 288 ms) and
+  // stamps the record one backend hop later.
+  EXPECT_NEAR(trace.at, 461.0, 1e-6);
+  EXPECT_EQ(trace.logged_at, trace.at + config_.backend_one_way_ms);
+  EXPECT_EQ(log_.size(), 1u);
+}
+
 TEST_F(SdnTest, RoutingOverheadIsAboutOneFiftyMs) {
   backend_.launch(1, exact_type());
   config_.routing_overhead_sd_ms = 20.0;
@@ -86,7 +126,7 @@ TEST_F(SdnTest, RoutingOverheadIsAboutOneFiftyMs) {
                       util::rng{3}};
   for (int i = 0; i < 200; ++i) {
     sim_.schedule_at(i * 2'000.0, [&, i] {
-      sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0, {});
+      sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0);
     });
   }
   sim_.run();
@@ -101,7 +141,7 @@ TEST_F(SdnTest, LogsTraceRecordPerSuccess) {
   backend_.launch(2, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{4}};
-  sdn.submit(make_request(7), 2, 0.65, {});
+  sdn.submit(make_request(7), 2, 0.65);
   sim_.run();
   ASSERT_EQ(log_.size(), 1u);
   const auto& record = log_.records()[0];
@@ -116,7 +156,7 @@ TEST_F(SdnTest, NoLoggingWhenDisabled) {
   config_.log_traces = false;
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{5}};
-  sdn.submit(make_request(1), 1, 1.0, {});
+  sdn.submit(make_request(1), 1, 1.0);
   sim_.run();
   EXPECT_EQ(log_.size(), 0u);
 }
@@ -125,7 +165,7 @@ TEST_F(SdnTest, NullLogPointerIsSafe) {
   backend_.launch(1, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), nullptr, config_,
                       util::rng{6}};
-  sdn.submit(make_request(1), 1, 1.0, {});
+  sdn.submit(make_request(1), 1, 1.0);
   sim_.run();
   EXPECT_EQ(sdn.succeeded(), 1u);
 }
@@ -133,15 +173,12 @@ TEST_F(SdnTest, NullLogPointerIsSafe) {
 TEST_F(SdnTest, MissingGroupFailsTheRequest) {
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{7}};
-  request_timing observed;
-  bool called = false;
-  sdn.submit(make_request(1), 9, 1.0,
-             [&](const workload::offload_request&, const request_timing& t) {
-               observed = t;
-               called = true;
-             });
+  recording_sink sink{sim_};
+  sdn.set_response_sink(&sink);
+  sdn.submit(make_request(1), 9, 1.0);
   sim_.run();
-  ASSERT_TRUE(called);
+  ASSERT_EQ(sink.responses.size(), 1u);
+  const request_timing& observed = sink.responses[0].timing;
   EXPECT_FALSE(observed.success);
   EXPECT_EQ(observed.cloud, 0.0);
   EXPECT_EQ(sdn.failed(), 1u);
@@ -156,15 +193,16 @@ TEST_F(SdnTest, SaturatedBackendDropsAreReported) {
   backend_.launch(1, tiny);
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{8}};
-  int failures = 0;
+  recording_sink sink{sim_};
+  sdn.set_response_sink(&sink);
   for (std::size_t i = 0; i < burst; ++i) {
-    sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0,
-               [&](const workload::offload_request&,
-                   const request_timing& t) {
-                 if (!t.success) ++failures;
-               });
+    sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0);
   }
   sim_.run();
+  int failures = 0;
+  for (const auto& response : sink.responses) {
+    if (!response.timing.success) ++failures;
+  }
   EXPECT_EQ(sdn.received(), burst);
   EXPECT_GT(failures, 0);
   EXPECT_EQ(sdn.succeeded() + sdn.failed(), burst);
@@ -175,9 +213,9 @@ TEST_F(SdnTest, CountsMultipleGroupsSeparately) {
   backend_.launch(2, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{9}};
-  sdn.submit(make_request(1), 1, 1.0, {});
-  sdn.submit(make_request(2), 2, 1.0, {});
-  sdn.submit(make_request(3), 2, 1.0, {});
+  sdn.submit(make_request(1), 1, 1.0);
+  sdn.submit(make_request(2), 2, 1.0);
+  sdn.submit(make_request(3), 2, 1.0);
   sim_.run();
   EXPECT_EQ(sdn.routing_stats(1).count(), 1u);
   EXPECT_EQ(sdn.routing_stats(2).count(), 2u);
@@ -190,17 +228,18 @@ TEST_F(SdnTest, ThreeGLinkInflatesT1Only) {
                       util::rng{10}};
   sdn_accelerator threeg{sim_, backend_, fixed_link(130.0), nullptr, config_,
                          util::rng{10}};
-  request_timing timing_lte;
-  request_timing timing_threeg;
-  lte.submit(make_request(1), 1, 1.0,
-             [&](const workload::offload_request&, const request_timing& t) {
-               timing_lte = t;
-             });
+  recording_sink lte_sink{sim_};
+  recording_sink threeg_sink{sim_};
+  lte.set_response_sink(&lte_sink);
+  threeg.set_response_sink(&threeg_sink);
+  lte.submit(make_request(1), 1, 1.0);
   sim_.run();
-  threeg.submit(make_request(2), 1, 1.0,
-                [&](const workload::offload_request&,
-                    const request_timing& t) { timing_threeg = t; });
+  threeg.submit(make_request(2), 1, 1.0);
   sim_.run();
+  ASSERT_EQ(lte_sink.responses.size(), 1u);
+  ASSERT_EQ(threeg_sink.responses.size(), 1u);
+  const request_timing& timing_lte = lte_sink.responses[0].timing;
+  const request_timing& timing_threeg = threeg_sink.responses[0].timing;
   EXPECT_NEAR(timing_threeg.t1() - timing_lte.t1(), 90.0, 2.0);
   // The internal path is identical: same routing model, same backend hops.
   EXPECT_NEAR(timing_threeg.front_to_back, timing_lte.front_to_back, 1e-9);
@@ -210,15 +249,16 @@ TEST_F(SdnTest, ConcurrentSubmissionsShareTheBackend) {
   backend_.launch(1, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{11}};
-  std::vector<double> cloud_times;
+  recording_sink sink{sim_};
+  sdn.set_response_sink(&sink);
   for (int i = 0; i < 4; ++i) {
-    sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0,
-               [&](const workload::offload_request&,
-                   const request_timing& t) {
-                 cloud_times.push_back(t.cloud);
-               });
+    sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0);
   }
   sim_.run();
+  std::vector<double> cloud_times;
+  for (const auto& response : sink.responses) {
+    cloud_times.push_back(response.timing.cloud);
+  }
   ASSERT_EQ(cloud_times.size(), 4u);
   // All four arrive (nearly) together and share one core: each sees ~4x
   // the solo 288 ms service time.

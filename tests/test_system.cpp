@@ -2,12 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include "net/operators.h"
 
 namespace mca::core {
 namespace {
+
+/// Deterministic mobile link for exact timing assertions.
+net::rtt_model fixed_link(double rtt_ms) {
+  net::rtt_model_params p;
+  p.log_mu = std::log(rtt_ms);
+  p.log_sigma = 1e-9;  // effectively constant
+  return net::rtt_model{p, 0.0};
+}
+
+/// A 1 wu/ms core without service jitter.
+cloud::instance_type exact_type() {
+  cloud::instance_type t;
+  t.name = "test.exact";
+  t.vcpus = 1.0;
+  t.memory_gb = 64.0;
+  t.cost_per_hour = 0.1;
+  t.speed_factor = 1.0;
+  t.jitter_sigma = 0.0;
+  return t;
+}
 
 class SystemTest : public ::testing::Test {
  protected:
@@ -268,6 +290,56 @@ TEST_F(SystemTest, TraceLogMatchesRequestMetrics) {
     if (r.success) ++successes;
   }
   EXPECT_EQ(system.log().size(), successes);
+}
+
+/// Group-1 users counted in slot 1 of a two-user run with exact timing.
+/// Both users offload at t = 0 (slot 0).  In slot 1, user 0 offloads at
+/// 2.1 s and its backend completes long before the 4 s boundary; user 1's
+/// backend completes `completion_margin_ms` before that boundary.
+std::size_t slot_one_users(const tasks::task_pool& pool,
+                           double completion_margin_ms) {
+  constexpr double kSlot = 2'000.0;
+  // 20 ms uplink + 150 ms routing + 3 ms hop + 288 ms service (280 wu
+  // minimax + 8 wu spawn on the 1 wu/ms core).
+  constexpr double kToCompletion = 461.0;
+  system_config config;
+  config.groups = {{1, "t2.nano", 0, 10.0}};  // exact instance added below
+  config.enable_adaptation = false;
+  config.user_count = 2;
+  config.tasks = workload::static_source(pool.static_minimax_request());
+  // Gap draws in call order: both devices' start offsets, then user 0's
+  // and user 1's gaps after their t = 0 requests, then nothing more.
+  const std::vector<double> gaps = {
+      0.0, 0.0, 2'100.0, 2 * kSlot - completion_margin_ms - kToCompletion};
+  config.gaps = [gaps, next = std::size_t{0}](util::rng&) mutable {
+    return next < gaps.size() ? gaps[next++] : util::hours(1);
+  };
+  config.slot_length = kSlot;
+  config.background_requests_per_burst = 0;
+  config.mobile_link = fixed_link(40.0);
+  config.sdn.routing_overhead_mean_ms = 150.0;
+  config.sdn.routing_overhead_sd_ms = 0.0;
+  config.sdn.backend_one_way_ms = 3.0;
+  config.policy_factory = [] {
+    return std::make_unique<client::never_promote>();
+  };
+  offloading_system system{config, pool};
+  system.backend().launch(1, exact_type());
+  system.run(3 * kSlot);
+  const auto& slots = system.metrics().slots;
+  EXPECT_EQ(slots.size(), 3u);
+  EXPECT_EQ(slots.at(0).actual_counts.at(1), 2u);  // both t = 0 requests
+  EXPECT_EQ(system.log().size(), 4u);              // every request succeeded
+  return slots.at(1).actual_counts.at(1);
+}
+
+TEST_F(SystemTest, SlotCountsOnlyRequestsLoggedBeforeItsBoundary) {
+  // The trace record reaches the front-end backend_one_way_ms (3 ms) after
+  // the backend completes.  A completion 1.5 ms before the boundary is
+  // logged after it, so that slot does not count the request.
+  EXPECT_EQ(slot_one_users(pool_, 1.5), 1u);
+  // A completion 3.5 ms before the boundary is logged before it.
+  EXPECT_EQ(slot_one_users(pool_, 3.5), 2u);
 }
 
 TEST_F(SystemTest, DeterministicForSeed) {

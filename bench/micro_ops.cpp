@@ -1,7 +1,8 @@
 // Perf harness for the control-path hot spots: event-engine throughput,
-// simplex pivot rate, and end-to-end allocate_ilp latency, each measured
-// against the frozen pre-refactor implementation (legacy_baseline.h) in
-// the same binary.  Emits machine-readable BENCH_micro_ops.json (path
+// simplex pivot rate, end-to-end allocate_ilp latency, and the slot
+// distance, each measured against the frozen pre-refactor implementation
+// (legacy_baseline.h) or, for the slot distance, the two-row DP, in the
+// same binary.  Emits machine-readable BENCH_micro_ops.json (path
 // overridable via argv[1]) so the perf trajectory is tracked PR over PR.
 //
 // Usage: micro_ops [output.json]
@@ -19,6 +20,8 @@
 #include "ilp/simplex.h"
 #include "legacy_baseline.h"
 #include "sim/simulation.h"
+#include "trace/edit_distance.h"
+#include "trace/time_slot.h"
 #include "util/rng.h"
 
 namespace {
@@ -477,6 +480,46 @@ int main(int argc, char** argv) {
     std::printf("new:    %10.1f solves/sec (%.2f ms/solve, $%.3f/h plan)\n",
                 s.current, 1e3 * t_fleet / kFleetReps,
                 fleet_plan.total_cost_per_hour);
+    series.push_back(s);
+  }
+
+  // ---- slot distance ----------------------------------------------------
+  // fleet_500k's shards hold ~31k users, each active in a 15-min slot with
+  // probability ~36%: a group's slot list is ~11k users out of the shard.
+  // Here two independent ~36% draws from an 11.3k-user universe give ~4k
+  // users a side, small enough for the O(n·m) DP to run a few times.
+  bench::section("slot distance: sparse chain DP vs two-row DP (~4k users)");
+  {
+    util::rng rng{4096};
+    std::vector<user_id> users_a;
+    std::vector<user_id> users_b;
+    for (user_id u = 0; u < 11'300; ++u) {
+      if (rng.bernoulli(0.36)) users_a.push_back(u);
+      if (rng.bernoulli(0.36)) users_b.push_back(u);
+    }
+    const auto slot_a = trace::time_slot::from_group_users({users_a});
+    const auto slot_b = trace::time_slot::from_group_users({users_b});
+    constexpr int kSparseReps = 200;
+    std::size_t sparse = 0;
+    std::size_t dp = 0;
+    const double t_sparse = best_seconds(kTrials, [&] {
+      for (int i = 0; i < kSparseReps; ++i) {
+        sparse = trace::group_distance(slot_a, slot_b, 0);
+      }
+    });
+    const double t_dp = best_seconds(
+        kTrials, [&] { dp = trace::edit_distance(users_a, users_b); });
+    checks.expect(sparse == dp, "slot_distance: sparse chain DP equals DP",
+                  bench::ratio_detail("distance", static_cast<double>(sparse)));
+    series_entry s;
+    s.name = "slot_distance";
+    s.unit = "ns/call";
+    s.current = 1e9 * t_sparse / kSparseReps;
+    s.legacy = 1e9 * t_dp;
+    s.speedup = s.legacy / s.current;  // ns/call: smaller is better
+    std::printf("sparse: %12.0f ns/call  (|a|=%zu |b|=%zu)\n", s.current,
+                users_a.size(), users_b.size());
+    std::printf("dp:     %12.0f ns/call  (%.0fx)\n", s.legacy, s.speedup);
     series.push_back(s);
   }
 

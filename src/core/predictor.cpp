@@ -41,9 +41,11 @@ std::optional<std::size_t> workload_predictor::nearest_index(
 
 std::optional<trace::time_slot> workload_predictor::predict_next(
     const trace::time_slot& current) const {
-  const auto nearest = nearest_index(current);
-  if (!nearest) return std::nullopt;
-  if (mode_ == prediction_mode::match) return history_[*nearest];
+  if (mode_ == prediction_mode::match) {
+    const auto nearest = nearest_index(current);
+    if (!nearest) return std::nullopt;
+    return history_[*nearest];
+  }
   if (history_.size() < 2) return std::nullopt;
   // successor mode: the slot that followed the best match — restricted to
   // matches that *have* a successor, so the freshest slot (whose future is

@@ -63,15 +63,35 @@ std::size_t group_count_of(const scenario_spec& spec) {
 }
 
 void validate(const scenario_spec& spec) {
-  const auto reject = [&](const char* what) {
+  const auto reject = [&](const std::string& what) {
     throw std::invalid_argument{"scenario_spec '" + spec.name + "': " + what};
   };
   if (spec.user_count == 0) reject("user_count must be > 0");
-  if (!(spec.duration > 0.0)) reject("duration must be positive");
-  if (!(spec.slot_length > 0.0)) reject("slot_length must be positive");
+  // An infinite duration or slot never reaches its last boundary.
+  if (!(spec.duration > 0.0 && std::isfinite(spec.duration))) {
+    reject("duration must be positive and finite");
+  }
+  if (!(spec.slot_length > 0.0 && std::isfinite(spec.slot_length))) {
+    reject("slot_length must be positive and finite");
+  }
   if (spec.groups.empty()) reject("groups must not be empty");
+  // Every user starts in the initial group; without a backend there, every
+  // request fails.
+  const group_id initial = core::system_config{}.initial_group;
+  if (std::none_of(spec.groups.begin(), spec.groups.end(),
+                   [&](const auto& g) { return g.group == initial; })) {
+    reject("groups must include a backend for the initial group " +
+           std::to_string(initial));
+  }
   if (!(spec.session_probability >= 0.0 && spec.session_probability <= 1.0)) {
     reject("session_probability must be in [0, 1]");
+  }
+  if (spec.gaps == gap_model::study_sessions) {
+    // The idle gaps are lognormal with mu = log(idle_gap_mean).
+    if (!(spec.idle_gap_mean > 0.0)) reject("idle_gap_mean must be positive");
+    if (!(spec.idle_gap_sigma >= 0.0)) {
+      reject("idle_gap_sigma must be non-negative");
+    }
   }
   if (spec.tasks == task_mix::weighted_pool) {
     if (spec.task_weights.empty()) reject("weighted_pool requires task_weights");

@@ -104,10 +104,12 @@ struct scenario_spec {
 };
 
 /// Validates a spec before materialization.  Rejects a zero user_count, a
-/// non-positive duration or slot_length, an empty group list, a
-/// session_probability outside [0, 1], and degenerate weighted_pool
-/// weights with an error naming the field, instead of silently producing
-/// a degenerate run.  Throws std::invalid_argument.
+/// non-positive or non-finite duration or slot_length, an empty group
+/// list, no backend in the initial group 1, a session_probability outside
+/// [0, 1], a non-positive idle_gap_mean or negative idle_gap_sigma under
+/// study_sessions, and degenerate weighted_pool weights with an error
+/// naming the field, instead of silently producing a degenerate run.
+/// Throws std::invalid_argument.
 void validate(const scenario_spec& spec);
 
 /// Same, plus the checks that need the task pool (weighted_pool weight

@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <limits>
 
 namespace mca::trace {
 
-namespace {
-
-/// Classic two-row DP; kept as the general-input path (and the reference
-/// the bit-parallel fast path is tested against).
-std::size_t edit_distance_dp(std::span<const user_id> a,
-                             std::span<const user_id> b) {
+std::size_t edit_distance(std::span<const user_id> a,
+                          std::span<const user_id> b) {
   const std::size_t n = a.size();
   const std::size_t m = b.size();
   std::vector<std::size_t> prev(m + 1);
@@ -28,106 +22,6 @@ std::size_t edit_distance_dp(std::span<const user_id> a,
     std::swap(prev, curr);
   }
   return prev[m];
-}
-
-bool strictly_increasing(std::span<const user_id> s) noexcept {
-  for (std::size_t i = 1; i < s.size(); ++i) {
-    if (s[i] <= s[i - 1]) return false;
-  }
-  return true;
-}
-
-/// Myers' bit-parallel Levenshtein (multiword, Hyyrö's block formulation),
-/// specialized for two strictly increasing sequences — the shape every
-/// time-slot user list has.  Because both sides are sorted and duplicate
-/// free, each text symbol matches at most one pattern position, found by a
-/// single linear merge instead of per-symbol match masks; the column
-/// update then runs over ceil(m/64) machine words, a 64x cell-rate win
-/// over the DP that used to dominate fleet-scale slot boundaries.
-std::size_t edit_distance_sorted_bitparallel(std::span<const user_id> text,
-                                             std::span<const user_id> pattern) {
-  const std::size_t n = text.size();
-  const std::size_t m = pattern.size();
-  const std::size_t words = (m + 63) / 64;
-
-  // match_pos[i]: position of text[i] in the pattern, or npos.  One merge
-  // pass — both sequences are strictly increasing.
-  constexpr std::uint32_t kNoMatch = 0xffffffffu;
-  static thread_local std::vector<std::uint32_t> match_pos;
-  match_pos.assign(n, kNoMatch);
-  for (std::size_t i = 0, j = 0; i < n && j < m;) {
-    if (text[i] == pattern[j]) {
-      match_pos[i] = static_cast<std::uint32_t>(j);
-      ++i;
-      ++j;
-    } else if (text[i] < pattern[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-
-  static thread_local std::vector<std::uint64_t> pv_store;
-  static thread_local std::vector<std::uint64_t> mv_store;
-  pv_store.assign(words, ~std::uint64_t{0});
-  mv_store.assign(words, 0);
-  std::uint64_t* const pv = pv_store.data();
-  std::uint64_t* const mv = mv_store.data();
-
-  std::size_t score = m;
-  const std::size_t top = words - 1;
-  const std::uint64_t top_bit = std::uint64_t{1} << ((m - 1) % 64);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t pos = match_pos[i];
-    const std::size_t eq_word =
-        pos == kNoMatch ? words : static_cast<std::size_t>(pos) / 64;
-    const std::uint64_t eq_bit =
-        pos == kNoMatch ? 0 : std::uint64_t{1} << (pos % 64);
-    // Global alignment: the row-0 boundary contributes +1 per column.
-    std::uint64_t ph_in = 1;
-    std::uint64_t mh_in = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t eq = w == eq_word ? eq_bit : 0;
-      const std::uint64_t pvw = pv[w];
-      const std::uint64_t mvw = mv[w];
-      const std::uint64_t xv = eq | mvw;
-      const std::uint64_t eq2 = eq | mh_in;
-      const std::uint64_t xh = (((eq2 & pvw) + pvw) ^ pvw) | eq2;
-      std::uint64_t ph = mvw | ~(xh | pvw);
-      std::uint64_t mh = pvw & xh;
-      if (w == top) {
-        score += (ph & top_bit) != 0;
-        score -= (mh & top_bit) != 0;
-      }
-      const std::uint64_t ph_out = ph >> 63;
-      const std::uint64_t mh_out = mh >> 63;
-      ph = (ph << 1) | ph_in;
-      mh = (mh << 1) | mh_in;
-      pv[w] = mh | ~(xv | ph);
-      mv[w] = ph & xv;
-      ph_in = ph_out;
-      mh_in = mh_out;
-    }
-  }
-  return score;
-}
-
-}  // namespace
-
-std::size_t edit_distance(std::span<const user_id> a,
-                          std::span<const user_id> b) {
-  const std::size_t n = a.size();
-  const std::size_t m = b.size();
-  if (n == 0) return m;
-  if (m == 0) return n;
-  if (strictly_increasing(a) && strictly_increasing(b)) {
-    // Fewer pattern words when the shorter side is the pattern (the
-    // distance is symmetric).
-    return m <= n ? edit_distance_sorted_bitparallel(a, b)
-                  : edit_distance_sorted_bitparallel(b, a);
-  }
-  return edit_distance_dp(a, b);
 }
 
 double post_normalized_edit_distance(std::span<const user_id> a,

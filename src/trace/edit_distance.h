@@ -1,11 +1,12 @@
-// Edit distances over user-assignment sequences.
+// Edit distances over general user-id sequences.
 //
-// The predictor (§IV-B) measures how alike two time slots are by the edit
-// distance between the user sequences assigned to each acceleration group.
 // Provided here: classic Levenshtein (unit insert/delete/substitute),
 // post-normalized distance, and the exact Marzal–Vidal normalized edit
 // distance (the paper's reference [33]) via Dinkelbach's fractional
-// programming iteration.
+// programming iteration.  These accept any sequence, repeats and any
+// order included.  The predictor's slot distance (§IV-B) compares sorted
+// unique user lists and uses trace::group_distance (time_slot.h), which
+// exploits that shape; the two-row DP here is its test reference.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +17,8 @@
 
 namespace mca::trace {
 
-/// Unit-cost Levenshtein distance between two sequences.
+/// Unit-cost Levenshtein distance between two sequences: the two-row DP,
+/// O(|a|·|b|) time, O(|b|) space.
 std::size_t edit_distance(std::span<const user_id> a,
                           std::span<const user_id> b);
 

@@ -48,8 +48,12 @@ class time_slot {
   std::vector<std::vector<user_id>> groups_;
 };
 
-/// δ of §IV-B.1: 0 when the two groups hold identical user sets, otherwise
-/// the edit distance between their (sorted) user sequences.
+/// δ of §IV-B.1: the Levenshtein distance between the group's sorted user
+/// sequences in the two slots (0 for identical sets).  Exact sparse chain
+/// DP over the k common users, which sorted unique lists put on one chain
+/// monotone in both indices: the cheapest sub-chain from (-1, -1) to
+/// (n, m), one hop costing max(gap_a, gap_b), with two Fenwick minima
+/// keyed by diagonal rank.  O(n + m + k log k).
 std::size_t group_distance(const time_slot& a, const time_slot& b,
                            group_id group);
 

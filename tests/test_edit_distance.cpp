@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
+#include "trace/time_slot.h"
 #include "util/rng.h"
 
 namespace mca::trace {
@@ -162,8 +164,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EditDistanceVsReference,
 
 namespace {
 
-/// Textbook two-row Levenshtein, the oracle for the bit-parallel fast
-/// path that kicks in on strictly increasing (sorted-unique) sequences.
+/// Textbook two-row Levenshtein, the oracle for group_distance's sparse
+/// chain DP over sorted unique user lists.
 std::size_t dp_edit_distance(std::span<const user_id> a,
                              std::span<const user_id> b) {
   std::vector<std::size_t> prev(b.size() + 1);
@@ -194,33 +196,87 @@ users random_sorted_unique(util::rng& rng, std::size_t max_len,
   return out;
 }
 
+/// group_distance between two one-group slots holding `a` and `b`, which
+/// must already be sorted and unique.
+std::size_t sorted_distance(const users& a, const users& b) {
+  return group_distance(time_slot::from_group_users({a}),
+                        time_slot::from_group_users({b}), 0);
+}
+
+/// Asserts group_distance equals the DP both ways round, so every case
+/// also checks symmetry.
+void expect_matches_dp(const users& a, const users& b, const char* what) {
+  const std::size_t want = dp_edit_distance(a, b);
+  EXPECT_EQ(sorted_distance(a, b), want)
+      << what << " |a|=" << a.size() << " |b|=" << b.size();
+  EXPECT_EQ(sorted_distance(b, a), want)
+      << what << " (swapped) |a|=" << a.size() << " |b|=" << b.size();
+}
+
+users iota_users(user_id first, std::size_t count, user_id step = 1) {
+  users out(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = first + static_cast<user_id>(i) * step;
+  }
+  return out;
+}
+
 }  // namespace
 
-TEST(EditDistanceBitParallel, MatchesDpOnSortedUniqueSequences) {
+TEST(GroupDistance, MatchesDpOnRandomSortedSets) {
   util::rng rng{777};
-  for (int round = 0; round < 300; ++round) {
-    // Lengths straddle the 64-bit word boundary so the multiword carry
-    // chain (blocks 1..3) is exercised, not just the single-word case.
-    const users a = random_sorted_unique(rng, 150, 4'000);
-    const users b = random_sorted_unique(rng, 150, 4'000);
-    EXPECT_EQ(edit_distance(a, b), dp_edit_distance(a, b))
-        << "round " << round << " |a|=" << a.size() << " |b|=" << b.size();
+  // A sparse universe, then a small one where most users are common, so
+  // long chains with many diagonals compete.
+  const std::pair<std::size_t, std::uint32_t> shapes[] = {{150, 4'000},
+                                                          {60, 90}};
+  for (const auto& [max_len, universe] : shapes) {
+    for (int round = 0; round < 300; ++round) {
+      const users a = random_sorted_unique(rng, max_len, universe);
+      const users b = random_sorted_unique(rng, max_len, universe);
+      expect_matches_dp(a, b, "random");
+    }
   }
 }
 
-TEST(EditDistanceBitParallel, ExactWordBoundaryLengths) {
-  // Pattern lengths 63, 64, 65, 128: the top-bit bookkeeping edge cases.
-  util::rng rng{778};
-  for (const std::size_t len : {63u, 64u, 65u, 127u, 128u, 129u}) {
-    users a;
-    users b;
-    for (std::size_t i = 0; i < len; ++i) {
-      a.push_back(static_cast<user_id>(2 * i));
-      if (rng.bernoulli(0.5)) b.push_back(static_cast<user_id>(2 * i + 1));
-    }
-    EXPECT_EQ(edit_distance(a, b), dp_edit_distance(a, b)) << "len " << len;
-    EXPECT_EQ(edit_distance(a, a), 0u);
+TEST(GroupDistance, EdgeCases) {
+  const users empty;
+  const users some = iota_users(10, 25, 3);
+  expect_matches_dp(empty, empty, "empty/empty");
+  EXPECT_EQ(sorted_distance(empty, empty), 0u);
+  expect_matches_dp(some, empty, "one side empty");
+  EXPECT_EQ(sorted_distance(some, empty), some.size());
+
+  expect_matches_dp(some, some, "identical");
+  EXPECT_EQ(sorted_distance(some, some), 0u);
+
+  const users evens = iota_users(0, 40, 2);
+  const users odds = iota_users(1, 40, 2);
+  expect_matches_dp(evens, odds, "interleaved disjoint");
+  EXPECT_EQ(sorted_distance(evens, odds), 40u);
+
+  expect_matches_dp(iota_users(0, 50), iota_users(1, 50), "shifted by one");
+  EXPECT_EQ(sorted_distance(iota_users(0, 50), iota_users(1, 50)), 2u);
+
+  users subset;
+  for (std::size_t i = 0; i < some.size(); ++i) {
+    if (i % 3 != 0) subset.push_back(some[i]);
   }
+  expect_matches_dp(some, subset, "strict subset");
+  EXPECT_EQ(sorted_distance(some, subset), some.size() - subset.size());
+
+  expect_matches_dp(users{1, 5, 9, 20}, users{2, 9, 30}, "one common user");
+  expect_matches_dp(users{7}, users{7}, "single identical user");
+  expect_matches_dp(users{3}, users{1, 2, 3, 4, 5}, "single user inside a run");
+
+  // ~2k users a side, each a ~36% draw of a shared universe.
+  util::rng rng{780};
+  users a;
+  users b;
+  for (user_id u = 0; u < 5'600; ++u) {
+    if (rng.bernoulli(0.36)) a.push_back(u);
+    if (rng.bernoulli(0.36)) b.push_back(u);
+  }
+  expect_matches_dp(a, b, "2k x 2k");
 }
 
 }  // namespace

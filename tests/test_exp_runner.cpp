@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -207,6 +208,44 @@ TEST(ScenarioSpecValidation, RejectsDegenerateSpecs) {
   spec = tiny_scenario();
   spec.session_probability = -0.1;
   expect_rejected(spec, "negative session probability");
+
+  spec = tiny_scenario();
+  spec.duration = std::numeric_limits<double>::infinity();
+  expect_rejected(spec, "infinite duration");
+
+  spec = tiny_scenario();
+  spec.duration = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(spec, "NaN duration");
+
+  spec = tiny_scenario();
+  spec.slot_length = std::numeric_limits<double>::infinity();
+  expect_rejected(spec, "infinite slot length");
+
+  spec = tiny_scenario();
+  spec.groups = {{2, "t2.large", 1, 30.0}};
+  expect_rejected(spec, "no backend in the initial group");
+  try {
+    validate(spec);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("group 1"), std::string::npos)
+        << e.what();
+  }
+
+  spec = tiny_scenario();
+  spec.gaps = gap_model::study_sessions;
+  EXPECT_NO_THROW(validate(spec));
+  spec.idle_gap_mean = 0.0;
+  expect_rejected(spec, "zero idle gap mean");
+
+  spec = tiny_scenario();
+  spec.gaps = gap_model::study_sessions;
+  spec.idle_gap_mean = -5.0;
+  expect_rejected(spec, "negative idle gap mean");
+
+  spec = tiny_scenario();
+  spec.gaps = gap_model::study_sessions;
+  spec.idle_gap_sigma = -0.1;
+  expect_rejected(spec, "negative idle gap sigma");
 }
 
 TEST(ScenarioSpecValidation, RunScenarioThrowsInsteadOfFailingEverySeed) {
@@ -214,6 +253,11 @@ TEST(ScenarioSpecValidation, RunScenarioThrowsInsteadOfFailingEverySeed) {
   spec.user_count = 0;
   tasks::task_pool tasks;
   thread_pool pool{2};
+  EXPECT_THROW(run_scenario(spec, spec.plan(3), tasks, pool),
+               std::invalid_argument);
+  // An infinite duration fails upfront instead of never finishing.
+  spec = tiny_scenario();
+  spec.duration = std::numeric_limits<double>::infinity();
   EXPECT_THROW(run_scenario(spec, spec.plan(3), tasks, pool),
                std::invalid_argument);
 }

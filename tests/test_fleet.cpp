@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "fleet/coordinator.h"
@@ -330,6 +331,11 @@ TEST(RunFleet, RejectsDegenerateInputs) {
 
   options.shards = 2;
   spec.user_count = 0;
+  EXPECT_THROW(run_fleet(spec, options, tasks, pool), std::invalid_argument);
+
+  // An infinite duration fails upfront instead of looping over boundaries.
+  spec = tiny_fleet_scenario();
+  spec.duration = std::numeric_limits<double>::infinity();
   EXPECT_THROW(run_fleet(spec, options, tasks, pool), std::invalid_argument);
 }
 

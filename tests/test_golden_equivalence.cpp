@@ -1,9 +1,10 @@
 // Golden semantic-equivalence gate for the PR-5 hot-path overhaul.
 //
 // The per-request pipeline was rewritten around pooled state, SoA user
-// slabs, and streaming digests; the bit-parallel edit distance replaced
-// the DP; the slot scan became a streaming accumulator.  None of that may
-// change simulation semantics.  Two layers of protection:
+// slabs, and streaming digests; an exact sorted-set slot distance
+// (today trace::group_distance) replaced the DP; the slot scan became a
+// streaming accumulator.  None of that may change simulation semantics.
+// Two layers of protection:
 //
 //  1. Pinned goldens — request counts, acceptance, billing totals, and
 //     latency-digest numbers recorded from the pre-refactor tree (PR-4

@@ -93,6 +93,16 @@ void validate(const scenario_spec& spec) {
       reject("idle_gap_sigma must be non-negative");
     }
   }
+  // A NaN, infinite or zero rate (or gap) re-fires a device at one instant
+  // forever, or never; the generator factories refuse them too.
+  if (spec.gaps == gap_model::exponential &&
+      !(spec.arrival_rate_hz > 0.0 && std::isfinite(spec.arrival_rate_hz))) {
+    reject("arrival_rate_hz must be positive and finite");
+  }
+  if (spec.gaps == gap_model::fixed &&
+      !(spec.fixed_gap > 0.0 && std::isfinite(spec.fixed_gap))) {
+    reject("fixed_gap must be positive and finite");
+  }
   if (spec.tasks == task_mix::weighted_pool) {
     if (spec.task_weights.empty()) reject("weighted_pool requires task_weights");
     double total = 0.0;

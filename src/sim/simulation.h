@@ -12,11 +12,16 @@
 // bits).  The sequence number doubles as the slot's liveness tag, so a
 // handle is just the key; each slot tracks its entry's heap position, so
 // cancellation physically removes the entry (no lazy tombstones, no hash
-// sets, no per-event allocation beyond the callback itself).  Cancelling a
-// far-future timer — the dominant pattern — touches a near-leaf entry and
-// is effectively O(1).  Capacity limits from the packing: 2^24
-// concurrently pending events and 2^40 total schedules per simulation —
-// orders of magnitude beyond the paper's workloads.
+// sets, no per-event allocation beyond the callback itself).
+//
+// The heap holds in-flight work: SDN hops, processor-sharing completions,
+// timeouts, slot and background tickers — tens to hundreds of entries per
+// shard.  Far-future per-device arrivals do not live here; the
+// inter-arrival generator keeps them in its own monotone radix queue and
+// parks one event at the earliest (workload/generator.h), so a sift costs
+// a few levels, not the log of the device count.  Capacity limits from
+// the packing: 2^24 concurrently pending events and 2^40 total schedules
+// per simulation — orders of magnitude beyond the paper's workloads.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -55,13 +57,19 @@ task_source static_source(tasks::task_request request) {
 }
 
 interarrival_fn fixed_interarrival(util::time_ms gap) {
-  if (gap <= 0.0) throw std::invalid_argument{"fixed_interarrival: gap <= 0"};
+  if (!(gap > 0.0 && std::isfinite(gap))) {
+    throw std::invalid_argument{
+        "fixed_interarrival: gap must be positive and finite"};
+  }
   return [gap](util::rng&) { return gap; };
 }
 
 interarrival_fn exponential_interarrival(double rate_hz) {
-  if (rate_hz <= 0.0) {
-    throw std::invalid_argument{"exponential_interarrival: rate <= 0"};
+  // A NaN rate draws NaN gaps and an infinite one zero gaps: either would
+  // re-fire a device at the same instant forever.
+  if (!(rate_hz > 0.0 && std::isfinite(rate_hz))) {
+    throw std::invalid_argument{
+        "exponential_interarrival: rate must be positive and finite"};
   }
   return [rate_hz](util::rng& rng) {
     return rng.exponential(rate_hz / 1000.0);  // rate per ms
@@ -126,30 +134,100 @@ interarrival_generator::interarrival_generator(sim::simulation& sim,
       config_{config},
       rng_{rng} {
   if (config.devices == 0) throw std::invalid_argument{"interarrival: 0 devices"};
+  if (config.devices >= kNone) {
+    throw std::invalid_argument{"interarrival: too many devices"};
+  }
   if (!source_ || !sink_ || !gaps_) {
     throw std::invalid_argument{"interarrival: missing callback"};
   }
+  at_bits_.resize(config_.devices);
+  next_.resize(config_.devices);
   const util::time_ms start = sim_.now();
+  last_ = std::bit_cast<std::uint64_t>(start);
   for (std::size_t d = 0; d < config_.devices; ++d) {
-    const auto user = config_.first_user + static_cast<user_id>(d);
-    // Desynchronize devices with an initial fractional gap.
-    sim_.schedule_at(start + gaps_(rng_) * rng_.uniform(),
-                     [this, user] { schedule_next(user); });
+    // Desynchronize devices with an initial fractional gap.  An infinite
+    // gap times a zero draw is NaN: clamp it to now, as the engine would.
+    const double gap = draw_gap();
+    const util::time_ms at = start + gap * rng_.uniform();
+    push(static_cast<std::uint32_t>(d), at > start ? at : start);
   }
   deadline_ = start + config_.active_duration;
+  arm();
 }
 
-void interarrival_generator::schedule_next(user_id user) {
-  if (sim_.now() >= deadline_) return;
-  offload_request request;
-  request.id = next_request_id();
-  request.user = user;
-  request.work = source_(rng_);
-  request.created_at = sim_.now();
-  ++emitted_;
-  sink_(request);
-  sim_.schedule_after(gaps_(rng_), [this, user] { schedule_next(user); });
+double interarrival_generator::draw_gap() {
+  const double gap = gaps_(rng_);
+  // A NaN gap would re-fire its device at the same instant forever.
+  if (!(gap >= 0.0)) {
+    throw std::invalid_argument{"interarrival: drawn gap is NaN or negative"};
+  }
+  return gap;
 }
+
+// mca:hot-path-begin(arrival-queue)
+void interarrival_generator::wake() {
+  // arm() settled the queue: bucket 0 heads the device due now.
+  const std::uint32_t device = head_[0];
+  head_[0] = next_[device];
+  if (head_[0] == kNone) occupied_ &= ~std::uint64_t{1};
+  if (sim_.now() < deadline_) {
+    offload_request request;
+    request.id = next_request_id();
+    request.user = config_.first_user + static_cast<user_id>(device);
+    request.work = source_(rng_);
+    request.created_at = sim_.now();
+    ++emitted_;
+    sink_(request);
+    push(device, sim_.now() + draw_gap());
+  }
+  if (occupied_ != 0) arm();
+}
+
+void interarrival_generator::arm() {
+  settle();
+  sim_.schedule_at(std::bit_cast<util::time_ms>(last_), [this] { wake(); });
+}
+
+void interarrival_generator::push(std::uint32_t device,
+                                  util::time_ms at) noexcept {
+  at_bits_[device] = std::bit_cast<std::uint64_t>(at);
+  file(device);
+}
+
+void interarrival_generator::file(std::uint32_t device) noexcept {
+  const std::uint64_t diff = at_bits_[device] ^ last_;
+  const std::size_t bucket =
+      diff == 0 ? 0 : static_cast<std::size_t>(64 - std::countl_zero(diff));
+  const std::uint64_t bit = std::uint64_t{1} << bucket;
+  next_[device] = kNone;
+  if ((occupied_ & bit) != 0) {
+    next_[tail_[bucket]] = device;
+  } else {
+    head_[bucket] = device;
+    occupied_ |= bit;
+  }
+  tail_[bucket] = device;
+}
+
+void interarrival_generator::settle() noexcept {
+  if ((occupied_ & 1) != 0) return;
+  const auto bucket = static_cast<std::size_t>(std::countr_zero(occupied_));
+  std::uint64_t earliest = ~std::uint64_t{0};
+  for (std::uint32_t d = head_[bucket]; d != kNone; d = next_[d]) {
+    earliest = std::min(earliest, at_bits_[d]);
+  }
+  // Every entry agrees with the new last_ on bit bucket-1 and above, so it
+  // moves to a lower bucket; those are empty, and walking the list in
+  // order keeps each of them sorted by push order.
+  last_ = earliest;
+  occupied_ &= ~(std::uint64_t{1} << bucket);
+  for (std::uint32_t d = head_[bucket]; d != kNone;) {
+    const std::uint32_t next = next_[d];
+    file(d);
+    d = next;
+  }
+}
+// mca:hot-path-end
 
 replay_generator::replay_generator(sim::simulation& sim, task_source source,
                                    request_sink sink,

@@ -8,6 +8,8 @@
 // schedule, rate doubling, drives the saturation study of Fig. 8.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -43,8 +45,10 @@ task_source static_source(tasks::task_request request);
 /// Draws the next inter-arrival gap in ms.
 using interarrival_fn = std::function<double(util::rng&)>;
 
+/// Throws std::invalid_argument unless `gap` is positive and finite.
 interarrival_fn fixed_interarrival(util::time_ms gap);
-/// Poisson arrivals at `rate_hz` per device.
+/// Poisson arrivals at `rate_hz` per device.  Throws std::invalid_argument
+/// unless `rate_hz` is positive and finite.
 interarrival_fn exponential_interarrival(double rate_hz);
 /// Replays an empirical gap distribution (the smartphone study).
 interarrival_fn empirical_interarrival(
@@ -91,16 +95,61 @@ struct interarrival_config {
   user_id first_user = 0;
 };
 
+/// The devices' pending arrivals live here, not in the engine: the
+/// generator files each device's next arrival time in a monotone radix
+/// queue and parks exactly one engine event, armed at the earliest pending
+/// arrival.  A wake pops that device, emits its request (one task draw),
+/// draws its next gap (one gap draw), re-files it at now + gap and re-arms.
+/// A device popped at or past the deadline is dropped instead, so every
+/// device still costs one post-deadline no-op wake-up, as it did when each
+/// device parked its own engine event: executed_events() is unchanged and
+/// the engine's heap holds only in-flight work.
+///
+/// The queue keys a time by its IEEE-754 bit pattern; for the non-negative
+/// times used here the patterns order like the doubles.  Bucket 0 holds
+/// the devices due at exactly the last popped time; bucket b > 0 those
+/// whose pattern first differs from it at bit b-1.  A pop from an empty
+/// bucket 0 re-files the lowest non-empty bucket around its minimum, which
+/// sends every entry to a lower bucket (amortized O(64) per arrival).  It
+/// is exact because pops are monotone: every push lands at now + gap >= now
+/// = the last popped time.
+///
+/// Ties.  Among arrivals at the same time, devices pop in push order (the
+/// engine's FIFO sequence tie-break when each device had its own event):
+/// every bucket is a FIFO list and a re-file walks it in order into empty
+/// buckets, so each bucket stays sorted by push order.  Against a
+/// non-arrival event at the same double timestamp, the order follows the
+/// wake event's own engine sequence, which is taken when it is re-armed.
+/// No shipped spec produces such a tie, as the golden fingerprints confirm.
 class interarrival_generator {
  public:
-  /// Throws std::invalid_argument on zero devices or empty callbacks.
+  /// Throws std::invalid_argument on zero devices or empty callbacks.  A
+  /// drawn gap that is NaN or negative throws std::invalid_argument, here
+  /// or from the engine's run loop.
   interarrival_generator(sim::simulation& sim, task_source source,
                          request_sink sink, interarrival_fn gaps,
                          interarrival_config config, util::rng rng);
   std::uint64_t emitted() const noexcept { return emitted_; }
 
  private:
-  void schedule_next(user_id user);
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  /// Bucket 64 would hold patterns differing in the sign bit, which no
+  /// non-negative time has.
+  static constexpr std::size_t kBuckets = 64;
+
+  /// Returns the drawn gap; throws on NaN or negative.
+  double draw_gap();
+  void wake();
+  /// Settles the queue and parks the wake event at its earliest time.
+  void arm();
+  /// Files `device` at `at`, which must not precede the last popped time.
+  void push(std::uint32_t device, util::time_ms at) noexcept;
+  /// Appends `device` to the bucket of its pending time.
+  void file(std::uint32_t device) noexcept;
+  /// Makes bucket 0 non-empty by re-filing the lowest non-empty bucket
+  /// around its minimum; the queue must not be empty.  Afterwards last_
+  /// holds the earliest pending time.
+  void settle() noexcept;
 
   sim::simulation& sim_;
   task_source source_;
@@ -110,6 +159,13 @@ class interarrival_generator {
   util::rng rng_;
   util::time_ms deadline_ = 0.0;
   std::uint64_t emitted_ = 0;
+
+  std::vector<std::uint64_t> at_bits_;  ///< per device: pending time's bits
+  std::vector<std::uint32_t> next_;     ///< per device: intrusive FIFO link
+  std::array<std::uint32_t, kBuckets> head_{};  ///< valid iff occupied
+  std::array<std::uint32_t, kBuckets> tail_{};
+  std::uint64_t occupied_ = 0;  ///< bit b set iff bucket b is non-empty
+  std::uint64_t last_ = 0;      ///< bits of the last popped (settled) time
 };
 
 /// Trace replay: re-issues requests at exact recorded (timestamp, user)

@@ -246,6 +246,26 @@ TEST(ScenarioSpecValidation, RejectsDegenerateSpecs) {
   spec.gaps = gap_model::study_sessions;
   spec.idle_gap_sigma = -0.1;
   expect_rejected(spec, "negative idle gap sigma");
+
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  for (const double rate : {nan, inf, 0.0, -0.5}) {
+    spec = tiny_scenario();
+    spec.gaps = gap_model::exponential;
+    spec.arrival_rate_hz = rate;
+    expect_rejected(spec, "degenerate arrival rate");
+  }
+  for (const double gap : {nan, inf, 0.0, -1.0}) {
+    spec = tiny_scenario();
+    spec.gaps = gap_model::fixed;
+    spec.fixed_gap = gap;
+    expect_rejected(spec, "degenerate fixed gap");
+  }
+  // Each check applies only under its own gap model.
+  spec = tiny_scenario();
+  spec.gaps = gap_model::fixed;
+  spec.arrival_rate_hz = nan;
+  EXPECT_NO_THROW(validate(spec));
 }
 
 TEST(ScenarioSpecValidation, RunScenarioThrowsInsteadOfFailingEverySeed) {

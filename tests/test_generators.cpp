@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace mca::workload {
@@ -138,6 +144,261 @@ TEST_F(GeneratorTest, InterarrivalValidation) {
                                       collect(), fixed_interarrival(1.0), bad,
                                       util::rng{1}),
                std::invalid_argument);
+  bad.devices = std::size_t{0xffffffff};  // beyond the 32-bit device index
+  EXPECT_THROW(interarrival_generator(sim_, random_pool_source(pool_),
+                                      collect(), fixed_interarrival(1.0), bad,
+                                      util::rng{1}),
+               std::invalid_argument);
+}
+
+TEST_F(GeneratorTest, NonFiniteArrivalRatesAreRejected) {
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(exponential_interarrival(nan), std::invalid_argument);
+  EXPECT_THROW(exponential_interarrival(inf), std::invalid_argument);
+  EXPECT_THROW(exponential_interarrival(0.0), std::invalid_argument);
+  EXPECT_THROW(fixed_interarrival(nan), std::invalid_argument);
+  EXPECT_THROW(fixed_interarrival(inf), std::invalid_argument);
+  EXPECT_THROW(fixed_interarrival(-1.0), std::invalid_argument);
+}
+
+TEST_F(GeneratorTest, NanGapThrowsInsteadOfHanging) {
+  // A NaN gap used to re-fire its device at the same instant forever.
+  interarrival_config config;
+  config.active_duration = util::seconds(2);
+  const interarrival_fn nan_gaps = [](util::rng&) {
+    return std::numeric_limits<double>::quiet_NaN();
+  };
+  EXPECT_THROW(interarrival_generator(sim_, random_pool_source(pool_),
+                                      collect(), nan_gaps, config,
+                                      util::rng{1}),
+               std::invalid_argument);
+
+  // The first (desynchronizing) draw is fine; the first re-arm draws the
+  // bad gap and throws out of the run loop.
+  for (const double bad_gap :
+       {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    sim::simulation sim;
+    int draws = 0;
+    const interarrival_fn late = [&draws, bad_gap](util::rng&) {
+      return draws++ == 0 ? 100.0 : bad_gap;
+    };
+    interarrival_generator gen{sim,  random_pool_source(pool_), collect(),
+                               late, config, util::rng{1}};
+    EXPECT_THROW(sim.run_until(2000.0), std::invalid_argument) << bad_gap;
+    EXPECT_EQ(gen.emitted(), 1u);
+  }
+}
+
+TEST_F(GeneratorTest, ArrivalsDoNotOccupyTheEventQueue) {
+  // The generator parks one engine event for all its devices' arrivals.
+  interarrival_config config;
+  config.devices = 10'000;
+  config.active_duration = util::minutes(5);
+  interarrival_generator gen{sim_,
+                             random_pool_source(pool_),
+                             collect(),
+                             exponential_interarrival(0.05),
+                             config,
+                             util::rng{8}};
+  EXPECT_EQ(sim_.pending_events(), 1u);
+  sim_.run_until(util::minutes(2));
+  EXPECT_GT(gen.emitted(), 0u);
+  EXPECT_EQ(sim_.pending_events(), 1u);
+  sim_.run();
+  EXPECT_EQ(sim_.pending_events(), 0u);
+}
+
+// --- differential: the radix-queue generator vs per-device engine events ---
+
+// The generator as it was before its arrivals left the engine: every
+// device parks its own event.  Same rng draw order (per emission: one task
+// draw, then one gap draw), same emissions, same engine event count.
+class reference_interarrival {
+ public:
+  reference_interarrival(sim::simulation& sim, task_source source,
+                         request_sink sink, interarrival_fn gaps,
+                         interarrival_config config, util::rng rng)
+      : sim_{sim},
+        source_{std::move(source)},
+        sink_{std::move(sink)},
+        gaps_{std::move(gaps)},
+        config_{config},
+        rng_{rng} {
+    const util::time_ms start = sim_.now();
+    for (std::size_t d = 0; d < config_.devices; ++d) {
+      const auto user = config_.first_user + static_cast<user_id>(d);
+      const double gap = gaps_(rng_);
+      sim_.schedule_at(start + gap * rng_.uniform(),
+                       [this, user] { next(user); });
+    }
+    deadline_ = start + config_.active_duration;
+  }
+
+ private:
+  void next(user_id user) {
+    if (sim_.now() >= deadline_) return;
+    offload_request request;
+    request.user = user;
+    request.work = source_(rng_);
+    request.created_at = sim_.now();
+    sink_(request);
+    sim_.schedule_after(gaps_(rng_), [this, user] { next(user); });
+  }
+
+  sim::simulation& sim_;
+  task_source source_;
+  request_sink sink_;
+  interarrival_fn gaps_;
+  interarrival_config config_;
+  util::rng rng_;
+  util::time_ms deadline_ = 0.0;
+};
+
+struct emission {
+  user_id user = 0;
+  util::time_ms created_at = 0.0;
+  const tasks::task* algorithm = nullptr;
+  std::size_t size = 0;
+};
+
+struct differential_run {
+  std::vector<emission> emitted;
+  std::size_t executed_events = 0;
+};
+
+struct differential_case {
+  std::function<interarrival_fn()> gaps;  ///< fresh (stateful) fn per run
+  interarrival_config config;
+  util::time_ms run_until = std::numeric_limits<double>::infinity();
+  /// Delay of a follow-up engine event the sink schedules per request (it
+  /// logs a marker), or negative for none.
+  util::time_ms follow_up = -1.0;
+};
+
+template <typename Generator>
+differential_run run_generator(const tasks::task_pool& pool,
+                               const differential_case& c) {
+  sim::simulation sim;
+  // Start off zero so absolute times carry high mantissa bits.
+  sim.run_until(1234.5);
+  differential_run out;
+  const request_sink sink = [&](const offload_request& r) {
+    out.emitted.push_back(
+        {r.user, r.created_at, r.work.algorithm, r.work.size});
+    if (c.follow_up >= 0.0) {
+      sim.schedule_after(c.follow_up, [&out, &sim] {
+        out.emitted.push_back({~user_id{0}, sim.now(), nullptr, 0});
+      });
+    }
+  };
+  Generator gen{sim, random_pool_source(pool), sink, c.gaps(), c.config,
+                util::rng{2024}};
+  if (std::isinf(c.run_until)) {
+    sim.run();
+  } else {
+    sim.run_until(c.run_until);
+  }
+  out.executed_events = sim.executed_events();
+  return out;
+}
+
+void expect_identical_runs(const tasks::task_pool& pool,
+                           const differential_case& c, const char* what) {
+  const auto queue = run_generator<interarrival_generator>(pool, c);
+  const auto reference = run_generator<reference_interarrival>(pool, c);
+  EXPECT_EQ(queue.executed_events, reference.executed_events) << what;
+  ASSERT_EQ(queue.emitted.size(), reference.emitted.size()) << what;
+  ASSERT_FALSE(queue.emitted.empty()) << what;
+  for (std::size_t i = 0; i < queue.emitted.size(); ++i) {
+    const emission& a = queue.emitted[i];
+    const emission& b = reference.emitted[i];
+    ASSERT_EQ(a.user, b.user) << what << ", emission " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.created_at),
+              std::bit_cast<std::uint64_t>(b.created_at))
+        << what << ", emission " << i;
+    ASSERT_EQ(a.algorithm, b.algorithm) << what << ", emission " << i;
+    ASSERT_EQ(a.size, b.size) << what << ", emission " << i;
+  }
+}
+
+differential_case exponential_case(std::size_t devices) {
+  differential_case c;
+  c.gaps = [] { return exponential_interarrival(0.5); };
+  c.config.devices = devices;
+  c.config.active_duration = util::minutes(2);
+  return c;
+}
+
+TEST_F(GeneratorTest, DifferentialExponentialGaps) {
+  expect_identical_runs(pool_, exponential_case(1), "1 device");
+  expect_identical_runs(pool_, exponential_case(7), "7 devices");
+  auto many = exponential_case(5'000);
+  many.config.active_duration = util::seconds(10);
+  expect_identical_runs(pool_, many, "5000 devices");
+}
+
+TEST_F(GeneratorTest, DifferentialFixedAndEmpiricalGaps) {
+  differential_case fixed;
+  fixed.gaps = [] { return fixed_interarrival(750.0); };
+  fixed.config.devices = 40;
+  fixed.config.active_duration = util::minutes(1);
+  expect_identical_runs(pool_, fixed, "fixed gaps");
+
+  const std::vector<double> samples{120.0, 300.0, 450.0, 2'000.0, 9'000.0};
+  const auto distribution =
+      std::make_shared<const util::empirical_distribution>(samples);
+  differential_case empirical;
+  empirical.gaps = [distribution] {
+    return empirical_interarrival(distribution);
+  };
+  empirical.config.devices = 25;
+  empirical.config.active_duration = util::minutes(3);
+  expect_identical_runs(pool_, empirical, "empirical gaps");
+}
+
+TEST_F(GeneratorTest, DifferentialFirstUserDeadlineAndFollowUps) {
+  auto offset = exponential_case(9);
+  offset.config.first_user = 1'000;
+  expect_identical_runs(pool_, offset, "nonzero first_user");
+
+  auto cut = exponential_case(30);
+  cut.run_until = 1234.5 + util::seconds(45);  // mid-stream
+  expect_identical_runs(pool_, cut, "run stopped mid-stream");
+
+  auto follow = exponential_case(7);
+  follow.follow_up = 1.5;
+  expect_identical_runs(pool_, follow, "sink schedules follow-up events");
+}
+
+TEST_F(GeneratorTest, DifferentialTiesPopInPushOrder) {
+  // The first `devices` draws are 0, so every device starts at `start`;
+  // after that a constant gap keeps all of them due at equal times.
+  constexpr std::size_t devices = 64;
+  differential_case lockstep;
+  lockstep.gaps = [] {
+    return interarrival_fn{[draws = std::size_t{0}](util::rng&) mutable {
+      return draws++ < devices ? 0.0 : 250.0;
+    }};
+  };
+  lockstep.config.devices = devices;
+  lockstep.config.active_duration = util::seconds(5);
+  expect_identical_runs(pool_, lockstep, "lockstep ties");
+
+  // Zero gaps re-file a device at the time being popped, behind the
+  // devices already due then.
+  differential_case zeros = lockstep;
+  zeros.gaps = [] {
+    return interarrival_fn{[draws = std::size_t{0}](util::rng&) mutable {
+      if (draws < devices) {
+        ++draws;
+        return 0.0;
+      }
+      static constexpr double cycle[] = {0.0, 250.0, 0.0, 500.0, 125.0};
+      return cycle[draws++ % 5];
+    }};
+  };
+  expect_identical_runs(pool_, zeros, "ties with zero gaps");
 }
 
 TEST_F(GeneratorTest, RateDoublingDoublesEveryPhase) {

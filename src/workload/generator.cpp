@@ -144,6 +144,7 @@ interarrival_generator::interarrival_generator(sim::simulation& sim,
   next_.resize(config_.devices);
   const util::time_ms start = sim_.now();
   last_ = std::bit_cast<std::uint64_t>(start);
+  deadline_ = start + config_.active_duration;
   for (std::size_t d = 0; d < config_.devices; ++d) {
     // Desynchronize devices with an initial fractional gap.  An infinite
     // gap times a zero draw is NaN: clamp it to now, as the engine would.
@@ -151,8 +152,7 @@ interarrival_generator::interarrival_generator(sim::simulation& sim,
     const util::time_ms at = start + gap * rng_.uniform();
     push(static_cast<std::uint32_t>(d), at > start ? at : start);
   }
-  deadline_ = start + config_.active_duration;
-  arm();
+  if (occupied_ != 0) arm();
 }
 
 double interarrival_generator::draw_gap() {
@@ -170,16 +170,14 @@ void interarrival_generator::wake() {
   const std::uint32_t device = head_[0];
   head_[0] = next_[device];
   if (head_[0] == kNone) occupied_ &= ~std::uint64_t{1};
-  if (sim_.now() < deadline_) {
-    offload_request request;
-    request.id = next_request_id();
-    request.user = config_.first_user + static_cast<user_id>(device);
-    request.work = source_(rng_);
-    request.created_at = sim_.now();
-    ++emitted_;
-    sink_(request);
-    push(device, sim_.now() + draw_gap());
-  }
+  offload_request request;
+  request.id = next_request_id();
+  request.user = config_.first_user + static_cast<user_id>(device);
+  request.work = source_(rng_);
+  request.created_at = sim_.now();
+  ++emitted_;
+  sink_(request);
+  push(device, sim_.now() + draw_gap());
   if (occupied_ != 0) arm();
 }
 
@@ -190,6 +188,7 @@ void interarrival_generator::arm() {
 
 void interarrival_generator::push(std::uint32_t device,
                                   util::time_ms at) noexcept {
+  if (at >= deadline_) return;  // the device is done
   at_bits_[device] = std::bit_cast<std::uint64_t>(at);
   file(device);
 }

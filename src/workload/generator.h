@@ -100,10 +100,9 @@ struct interarrival_config {
 /// queue and parks exactly one engine event, armed at the earliest pending
 /// arrival.  A wake pops that device, emits its request (one task draw),
 /// draws its next gap (one gap draw), re-files it at now + gap and re-arms.
-/// A device popped at or past the deadline is dropped instead, so every
-/// device still costs one post-deadline no-op wake-up, as it did when each
-/// device parked its own engine event: executed_events() is unchanged and
-/// the engine's heap holds only in-flight work.
+/// An arrival at or past the deadline is never filed, so a device costs no
+/// wake-up once it is done, and the engine's heap holds only in-flight
+/// work.
 ///
 /// The queue keys a time by its IEEE-754 bit pattern; for the non-negative
 /// times used here the patterns order like the doubles.  Bucket 0 holds
@@ -142,7 +141,8 @@ class interarrival_generator {
   void wake();
   /// Settles the queue and parks the wake event at its earliest time.
   void arm();
-  /// Files `device` at `at`, which must not precede the last popped time.
+  /// Files `device` at `at`, which must not precede the last popped time;
+  /// drops it instead when `at` is at or past the deadline.
   void push(std::uint32_t device, util::time_ms at) noexcept;
   /// Appends `device` to the bucket of its pending time.
   void file(std::uint32_t device) noexcept;

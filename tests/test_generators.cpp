@@ -212,8 +212,10 @@ TEST_F(GeneratorTest, ArrivalsDoNotOccupyTheEventQueue) {
 // --- differential: the radix-queue generator vs per-device engine events ---
 
 // The generator as it was before its arrivals left the engine: every
-// device parks its own event.  Same rng draw order (per emission: one task
-// draw, then one gap draw), same emissions, same engine event count.
+// device parks its own event, which fires once past the deadline as a
+// no-op.  Same rng draw order (per emission: one task draw, then one gap
+// draw) and same emissions; the engine event count differs by exactly
+// those no-op fires, which the radix-queue generator never schedules.
 class reference_interarrival {
  public:
   reference_interarrival(sim::simulation& sim, task_source source,
@@ -235,9 +237,16 @@ class reference_interarrival {
     deadline_ = start + config_.active_duration;
   }
 
+  std::size_t post_deadline_fires() const noexcept {
+    return post_deadline_fires_;
+  }
+
  private:
   void next(user_id user) {
-    if (sim_.now() >= deadline_) return;
+    if (sim_.now() >= deadline_) {
+      ++post_deadline_fires_;
+      return;
+    }
     offload_request request;
     request.user = user;
     request.work = source_(rng_);
@@ -253,7 +262,14 @@ class reference_interarrival {
   interarrival_config config_;
   util::rng rng_;
   util::time_ms deadline_ = 0.0;
+  std::size_t post_deadline_fires_ = 0;
 };
+
+/// The no-op count of a generator that has none.
+std::size_t post_deadline_fires(const interarrival_generator&) { return 0; }
+std::size_t post_deadline_fires(const reference_interarrival& gen) {
+  return gen.post_deadline_fires();
+}
 
 struct emission {
   user_id user = 0;
@@ -265,6 +281,7 @@ struct emission {
 struct differential_run {
   std::vector<emission> emitted;
   std::size_t executed_events = 0;
+  std::size_t post_deadline_fires = 0;
 };
 
 struct differential_case {
@@ -300,6 +317,7 @@ differential_run run_generator(const tasks::task_pool& pool,
     sim.run_until(c.run_until);
   }
   out.executed_events = sim.executed_events();
+  out.post_deadline_fires = post_deadline_fires(gen);
   return out;
 }
 
@@ -307,7 +325,13 @@ void expect_identical_runs(const tasks::task_pool& pool,
                            const differential_case& c, const char* what) {
   const auto queue = run_generator<interarrival_generator>(pool, c);
   const auto reference = run_generator<reference_interarrival>(pool, c);
-  EXPECT_EQ(queue.executed_events, reference.executed_events) << what;
+  EXPECT_EQ(queue.executed_events,
+            reference.executed_events - reference.post_deadline_fires)
+      << what;
+  // Run to the end, every reference device fires once past the deadline.
+  if (std::isinf(c.run_until)) {
+    EXPECT_EQ(reference.post_deadline_fires, c.config.devices) << what;
+  }
   ASSERT_EQ(queue.emitted.size(), reference.emitted.size()) << what;
   ASSERT_FALSE(queue.emitted.empty()) << what;
   for (std::size_t i = 0; i < queue.emitted.size(); ++i) {

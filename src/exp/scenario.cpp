@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "client/usage_trace.h"
+#include "cloud/instance_type.h"
 #include "workload/generator.h"
 
 namespace mca::exp {
@@ -82,6 +83,29 @@ void validate(const scenario_spec& spec) {
                    [&](const auto& g) { return g.group == initial; })) {
     reject("groups must include a backend for the initial group " +
            std::to_string(initial));
+  }
+  const auto& catalog = cloud::ec2_catalog();
+  for (const auto& g : spec.groups) {
+    const std::string where =
+        "groups (group " + std::to_string(g.group) + "): ";
+    if (std::none_of(catalog.begin(), catalog.end(),
+                     [&](const auto& t) { return t.name == g.type_name; })) {
+      reject(where + "unknown type_name '" + g.type_name + "'");
+    }
+    if (!(g.capacity_per_instance > 0.0 &&
+          std::isfinite(g.capacity_per_instance))) {
+      reject(where + "capacity_per_instance must be positive and finite");
+    }
+  }
+  if (spec.max_total_instances == 0) reject("max_total_instances must be > 0");
+  if (!(spec.promotion_probability >= 0.0 &&
+        spec.promotion_probability <= 1.0)) {
+    reject("promotion_probability must be in [0, 1]");
+  }
+  if (spec.background_requests_per_burst > 0 &&
+      !(spec.background_burst_period > 0.0 &&
+        std::isfinite(spec.background_burst_period))) {
+    reject("background_burst_period must be positive and finite");
   }
   if (!(spec.session_probability >= 0.0 && spec.session_probability <= 1.0)) {
     reject("session_probability must be in [0, 1]");
@@ -322,12 +346,9 @@ aggregate_metrics merge_replications(
     if (r.scored_slots > 0) aggregate.accuracy.add(r.mean_prediction_accuracy);
     aggregate.response.merge(r.response);
     aggregate.latency.merge(r.latency);
-    // Whole-array merges: the histogram fold vectorizes over bins and the
-    // batched Welford fold overlaps independent groups (util/simd.h,
-    // util::merge_each) — per-element math is unchanged.
-    util::merge_each(aggregate.group_response, r.group_response);
-    util::merge_each(aggregate.group_instances, r.group_instances);
     for (std::size_t g = 0; g < groups; ++g) {
+      aggregate.group_response[g].merge(r.group_response[g]);
+      aggregate.group_instances[g].merge(r.group_instances[g]);
       aggregate.group_successes[g] += r.group_successes[g];
     }
   }

@@ -105,11 +105,15 @@ struct scenario_spec {
 
 /// Validates a spec before materialization.  Rejects a zero user_count, a
 /// non-positive or non-finite duration or slot_length, an empty group
-/// list, no backend in the initial group 1, a session_probability outside
-/// [0, 1], a non-positive idle_gap_mean or negative idle_gap_sigma under
-/// study_sessions, and degenerate weighted_pool weights with an error
-/// naming the field, instead of silently producing a degenerate run.
-/// Throws std::invalid_argument.
+/// list, no backend in the initial group 1, a backend whose type_name is
+/// not in the catalog or whose capacity_per_instance is not positive and
+/// finite, a zero max_total_instances, a session_probability or
+/// promotion_probability outside [0, 1], a background_burst_period that is
+/// not positive and finite while bursts are on, a non-positive
+/// idle_gap_mean or negative idle_gap_sigma under study_sessions, and
+/// degenerate weighted_pool weights with an error naming the field,
+/// instead of silently producing a degenerate run or failing every
+/// replication.  Throws std::invalid_argument.
 void validate(const scenario_spec& spec);
 
 /// Same, plus the checks that need the task pool (weighted_pool weight

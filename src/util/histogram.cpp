@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/simd.h"
-
 namespace mca::util {
 
 histogram::histogram(double lo, double hi, std::size_t bins)
@@ -42,9 +40,9 @@ void histogram::merge(const histogram& other) {
       counts_.size() != other.counts_.size()) {
     throw std::invalid_argument{"histogram: merge of mismatched layouts"};
   }
-  // Bin-count addition is order-insensitive integer math, so the
-  // vectorized kernel is bit-identical to the former scalar loop.
-  simd::add_counts(counts_.data(), other.counts_.data(), counts_.size());
+  for (std::size_t b = 0; b < counts_.size(); ++b) {
+    counts_[b] += other.counts_[b];
+  }
   total_ += other.total_;
 }
 

@@ -41,16 +41,6 @@ void running_stats::merge(const running_stats& other) noexcept {
 }
 // mca:hot-path-end
 
-void merge_each(std::span<running_stats> dst,
-                std::span<const running_stats> src) {
-  if (dst.size() != src.size()) {
-    throw std::invalid_argument{"merge_each: mismatched lengths"};
-  }
-  running_stats* __restrict__ d = dst.data();
-  const running_stats* __restrict__ s = src.data();
-  for (std::size_t i = 0; i < dst.size(); ++i) d[i].merge(s[i]);
-}
-
 double running_stats::variance() const noexcept {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);

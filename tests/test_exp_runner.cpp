@@ -155,21 +155,6 @@ TEST(ScenarioRunner, ReplicationsVaryButStayDeterministic) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(ScenarioRunner, BrokenScenarioSurfacesEveryFailure) {
-  auto spec = tiny_scenario();
-  spec.groups = {{1, "no.such.instance", 1, 4.0}};
-  tasks::task_pool tasks;
-  thread_pool pool{4};
-  const auto result = run_scenario(spec, spec.plan(3), tasks, pool);
-  EXPECT_EQ(result.per_replication.size(), 0u);
-  EXPECT_EQ(result.aggregate.replications, 0u);
-  ASSERT_EQ(result.errors.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(result.errors[i].index, i);
-    EXPECT_FALSE(result.errors[i].message.empty());
-  }
-}
-
 TEST(ScenarioSpecValidation, RejectsDegenerateSpecs) {
   const auto expect_rejected = [](scenario_spec spec, const char* what) {
     try {
@@ -280,6 +265,69 @@ TEST(ScenarioSpecValidation, RunScenarioThrowsInsteadOfFailingEverySeed) {
   spec.duration = std::numeric_limits<double>::infinity();
   EXPECT_THROW(run_scenario(spec, spec.plan(3), tasks, pool),
                std::invalid_argument);
+}
+
+// Each of these specs used to pass validate() and then fail in every
+// replication (or, for a NaN promotion probability, run silently with no
+// promotions).  run_scenario must now throw once, naming the field, before
+// the pool runs a single replication.
+void expect_rejected_upfront(const scenario_spec& spec, const char* field) {
+  tasks::task_pool tasks;
+  thread_pool pool{2};
+  try {
+    (void)run_scenario(spec, spec.plan(3), tasks, pool);
+    ADD_FAILURE() << "run_scenario accepted a spec with a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(pool.counters().executed, 0u) << field;
+}
+
+TEST(ScenarioSpecValidation, RejectsPromotionProbabilityUpfront) {
+  for (const double p : {std::numeric_limits<double>::quiet_NaN(), 1.5,
+                         -0.25}) {
+    auto spec = tiny_scenario();
+    spec.promotion_probability = p;
+    expect_rejected_upfront(spec, "promotion_probability");
+  }
+}
+
+TEST(ScenarioSpecValidation, RejectsZeroInstanceCapUpfront) {
+  auto spec = tiny_scenario();
+  spec.max_total_instances = 0;
+  expect_rejected_upfront(spec, "max_total_instances");
+}
+
+TEST(ScenarioSpecValidation, RejectsDegenerateCapacityUpfront) {
+  for (const double capacity : {0.0, -4.0,
+                                std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()}) {
+    auto spec = tiny_scenario();
+    spec.groups[1].capacity_per_instance = capacity;
+    expect_rejected_upfront(spec, "capacity_per_instance");
+  }
+}
+
+TEST(ScenarioSpecValidation, RejectsUnknownInstanceTypeUpfront) {
+  auto spec = tiny_scenario();
+  spec.groups = {{1, "no.such.instance", 1, 4.0}};
+  expect_rejected_upfront(spec, "type_name");
+}
+
+TEST(ScenarioSpecValidation, RejectsDegenerateBurstPeriodUpfront) {
+  for (const double period : {0.0, -1.0,
+                              std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    auto spec = tiny_scenario();
+    spec.background_burst_period = period;
+    expect_rejected_upfront(spec, "background_burst_period");
+  }
+  // Without bursts the period is never read.
+  auto spec = tiny_scenario();
+  spec.background_requests_per_burst = 0;
+  spec.background_burst_period = 0.0;
+  EXPECT_NO_THROW(validate(spec));
 }
 
 TEST(ScenarioSpecValidation, GroupCountCoversSparseGroupIds) {

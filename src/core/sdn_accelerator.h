@@ -11,19 +11,19 @@
 //
 // Hot-path layout: each accepted request occupies one slot in a pooled
 // slab of in-flight states (free-listed, reused).  A stage is a simulation
-// event only where its handler draws randomness or reads shared state, so
-// a request costs three SDN events: routing (draws the handler overhead),
-// dispatch (routes on the back-end's current state) and deliver (counts
-// and reports).  Routing stays an event rather than folding into submit()
-// because its overhead draw must keep its place in the rng stream.  The
-// fixed hops are arithmetic: routing schedules dispatch T_f→b after its
-// overhead, and every response (back-end success, local fallback, failure
-// notice) goes through respond(), which schedules deliver after T_b→f (or
-// the local run) plus T_f→m.  The trace point fires at back-end
-// completion with the time its record reaches the front-end.  Events are
-// [this, slot] lambdas, small enough for std::function's inline storage,
-// and all output goes to one response_sink, so the steady-state request
-// path performs no heap allocation.
+// event only where it reads shared state, so a request costs two SDN
+// events: dispatch (routes on the back-end's current state) and deliver
+// (counts and reports), plus its back-end completion.  Everything before
+// dispatch is per-request arithmetic: submit() draws the half RTT and then
+// the handler overhead from the SDN stream and schedules dispatch at
+// ((now + T_m→f) + routing) + T_f→b.  Every response (back-end success,
+// local fallback, failure notice) goes through respond(), which schedules
+// deliver after T_b→f (or the local run) plus T_f→m.  The trace point
+// fires at back-end completion with the time its record reaches the
+// front-end.  Events are [this, slot] lambdas, small enough for
+// std::function's inline storage, and all output goes to one
+// response_sink, so the steady-state request path performs no heap
+// allocation.
 #pragma once
 
 #include <vector>
@@ -204,7 +204,6 @@ class sdn_accelerator {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
   // Stages of the Fig. 7a chain, each fired by a [this, slot] event.
-  void stage_routing(std::uint32_t slot);
   void stage_dispatch(std::uint32_t slot);
   void deliver(std::uint32_t slot);
   /// Back-end success: the trace point, then the response.

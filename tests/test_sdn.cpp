@@ -82,9 +82,9 @@ TEST_F(SdnTest, TimingDecompositionIsExact) {
               observed.t1() + observed.t2() + observed.cloud, 1e-9);
 }
 
-TEST_F(SdnTest, OneRequestCostsFourEvents) {
-  // Routing, dispatch, PS completion, deliver: the fixed hops between
-  // them are arithmetic, not events.
+TEST_F(SdnTest, OneRequestCostsThreeEvents) {
+  // Dispatch, PS completion, deliver: the uplink, the routing work and
+  // the fixed hops between them are arithmetic, not events.
   backend_.launch(1, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{2}};
@@ -92,7 +92,7 @@ TEST_F(SdnTest, OneRequestCostsFourEvents) {
   sdn.set_response_sink(&sink);
   sdn.submit(make_request(1), 1, 0.9);
   sim_.run();
-  EXPECT_EQ(sim_.executed_events(), 4u);
+  EXPECT_EQ(sim_.executed_events(), 3u);
   ASSERT_EQ(sink.responses.size(), 1u);
   // 20 uplink + 150 routing + 3 hop + 288 cloud + 3 hop + 20 downlink.
   EXPECT_NEAR(sink.responses[0].at, 484.0, 1e-6);

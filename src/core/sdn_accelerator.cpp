@@ -153,15 +153,13 @@ void sdn_accelerator::stage_return(std::uint32_t slot,
   s.timing.back_to_front = config_.backend_one_way_ms;
   // The trace point.  The record reaches the front-end one hop from now;
   // the sink gets that time rather than an event of its own.
-  if (log_ != nullptr && config_.log_traces) {
-    if (sink_ != nullptr) {
-      sink_->on_trace(s.request, s.group,
-                      sim_.now() + config_.backend_one_way_ms);
-    }
-    if (config_.retain_trace_records) {
-      log_->append({s.request.created_at, s.request.user, s.group, s.battery,
-                    s.timing.total()});
-    }
+  if (sink_ != nullptr) {
+    sink_->on_trace(s.request, s.group,
+                    sim_.now() + config_.backend_one_way_ms);
+  }
+  if (log_ != nullptr && config_.retain_trace_records) {
+    log_->append({s.request.created_at, s.request.user, s.group, s.battery,
+                  s.timing.total()});
   }
   respond(slot, true, config_.backend_one_way_ms);
 }
@@ -176,16 +174,9 @@ void sdn_accelerator::respond(std::uint32_t slot, bool success,
 
 void sdn_accelerator::deliver(std::uint32_t slot) {
   inflight& s = pool_[slot];
-  if (s.timing.success) {
-    ++succeeded_;
-  } else {
-    ++failed_;
-  }
   if (obs_ != nullptr) {
     obs_->add(s.timing.success ? obs::counter::sdn_successes
                                : obs::counter::sdn_failures);
-  }
-  if (exemplars_ != nullptr) {
     // Tail sampling at the sink: offer every response with its final
     // latency; the reservoir keeps the window's top-K over preallocated
     // storage (a compare and at most one O(log K) sift).
@@ -196,7 +187,7 @@ void sdn_accelerator::deliver(std::uint32_t slot) {
     exemplar.user = s.request.user;
     exemplar.group = s.group;
     exemplar.success = s.timing.success;
-    if (exemplars_->observe(exemplar) && obs_ != nullptr) {
+    if (exemplars_->observe(exemplar)) {
       obs_->add(obs::counter::exemplar_admitted);
     }
   }

@@ -48,12 +48,9 @@ struct sdn_config {
   double routing_overhead_sd_ms = 20.0;
   /// Front-end <-> back-end one-way latency (same private network).
   double backend_one_way_ms = 3.0;
-  /// Trace every processed request (fires the trace observer and, when
-  /// retained, the log record) — the predictor's knowledge base.
-  bool log_traces = true;
-  /// Keep the raw trace records in the log store.  Off, the trace point
-  /// still fires (prediction works) but nothing accumulates in memory —
-  /// the fleet-scale setting.
+  /// Keep the raw trace records in the attached log store.  Off, the
+  /// trace point still fires (prediction works) but nothing accumulates
+  /// in memory — the fleet-scale setting.
   bool retain_trace_records = true;
   /// Keep raw per-group routing-time samples (Fig. 8a series).
   bool keep_routing_samples = false;
@@ -119,11 +116,12 @@ class response_sink {
   /// The result (or the failure notice) arrives at the mobile.
   virtual void on_response(const workload::offload_request& request,
                            const request_timing& timing, group_id group) = 0;
-  /// The trace point, where a successful request enters the log (only
-  /// while a log is attached and `log_traces` is on).  Called when the
-  /// back-end completes; `logged_at` is when the record reaches the
-  /// front-end, one backend_one_way_ms later.  Lets the owner stream
-  /// per-slot state without re-scanning the log.  Ignored by default.
+  /// The trace point, where a successful request enters the log (stored
+  /// only while a log is attached and `retain_trace_records` is on; the
+  /// trace point fires either way).  Called when the back-end completes;
+  /// `logged_at` is when the record reaches the front-end, one
+  /// backend_one_way_ms later.  Lets the owner stream per-slot state
+  /// without re-scanning the log.  Ignored by default.
   virtual void on_trace(const workload::offload_request& /*request*/,
                         group_id /*group*/, util::time_ms /*logged_at*/) {}
 };
@@ -145,30 +143,27 @@ class sdn_accelerator {
   /// Installs the response sink (nullptr = responses are only counted).
   void set_response_sink(response_sink* sink) noexcept { sink_ = sink; }
 
-  /// Attaches the observability layer: `registry` (nullptr = counters
-  /// off) takes the request counters; `tracer` (nullptr = no tracing)
-  /// receives a request_lifecycle span for 1 request in `sample_every`
-  /// into `tracer->ring(ring)`.  Both pointers are fixed after setup, so
-  /// the disabled path is one predictable branch; span state lives in the
+  /// Attaches the observability layer: `registry` (nullptr = telemetry
+  /// off) takes the request counters, and while it is set every
+  /// delivered response is offered to `exemplars` (not null then), where
+  /// its latency is known — the sampling decision 1-in-N head sampling
+  /// cannot make.  `tracer` (nullptr = no tracing) receives a
+  /// request_lifecycle span for 1 request in `sample_every` into
+  /// `tracer->ring(ring)`.  The pointers are fixed after setup, so the
+  /// disabled path is one predictable branch; span state lives in the
   /// pooled in-flight slab, so sampling allocates nothing.
-  void set_observability(obs::registry* registry, obs::tracer* tracer,
-                         std::size_t ring, std::size_t sample_every) noexcept {
+  void set_observability(obs::registry* registry,
+                         obs::exemplar_reservoir* exemplars,
+                         obs::tracer* tracer, std::size_t ring,
+                         std::size_t sample_every) noexcept {
     obs_ = registry;
+    exemplars_ = exemplars;
     tracer_ = tracer;
     trace_ring_ = ring;
     trace_sample_every_ = sample_every == 0 ? 1 : sample_every;
   }
-  /// Attaches a tail-exemplar reservoir (nullptr = off): every delivered
-  /// response is offered at the sink, where its latency is known — the
-  /// sampling decision 1-in-N head sampling cannot make.  Fixed after
-  /// setup.
-  void set_exemplar_sink(obs::exemplar_reservoir* exemplars) noexcept {
-    exemplars_ = exemplars;
-  }
 
   std::uint64_t received() const noexcept { return received_; }
-  std::uint64_t succeeded() const noexcept { return succeeded_; }
-  std::uint64_t failed() const noexcept { return failed_; }
 
   /// Routing-time statistics per group (Fig. 8a).
   const util::running_stats& routing_stats(group_id group) const;
@@ -243,8 +238,6 @@ class sdn_accelerator {
   std::uint32_t free_head_ = kNoFreeSlot;
 
   std::uint64_t received_ = 0;
-  std::uint64_t succeeded_ = 0;
-  std::uint64_t failed_ = 0;
   std::vector<util::running_stats> routing_stats_;
   std::vector<std::vector<double>> routing_samples_;
 };

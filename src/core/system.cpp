@@ -138,8 +138,8 @@ offloading_system::offloading_system(system_config config,
   obs_.set_gauge(obs::gauge::groups, group_count_);
   obs_ptr_ = config_.obs_counters ? &obs_ : nullptr;
   backend_->set_observability(obs_ptr_);
-  sdn_->set_observability(obs_ptr_, config_.trace_sink, config_.trace_ring,
-                          config_.trace_sample_every);
+  sdn_->set_observability(obs_ptr_, &exemplars_, config_.trace_sink,
+                          config_.trace_ring, config_.trace_sample_every);
 
   user_seq_.assign(config_.user_count, 0);
 
@@ -320,10 +320,8 @@ void offloading_system::on_slot_boundary(std::size_t slot_index) {
     // Close the telemetry window that ends at this boundary before any
     // boundary work lands in the next one.  The snapshot counter is
     // bumped first so the closing window accounts for its own close.
-    if (timeline_.enabled()) {
-      obs_ptr_->add(obs::counter::timeline_snapshots);
-      timeline_.snapshot(*obs_ptr_, slot_index, sim_.now());
-    }
+    obs_ptr_->add(obs::counter::timeline_snapshots);
+    timeline_.snapshot(*obs_ptr_, slot_index, sim_.now());
     exemplars_.roll_window(static_cast<std::uint32_t>(slot_index));
   }
   // The slot that just ended becomes evidence.
@@ -435,13 +433,8 @@ void offloading_system::begin(util::time_ms duration) {
   // Time-resolved telemetry buffers, sized now that the slot count is
   // known: one window per boundary plus the drain tail.
   if (obs_ptr_ != nullptr) {
-    if (config_.obs_timeline) {
-      timeline_.reset(total_slots + 1, group_count_);
-    }
-    if (config_.exemplar_top_k > 0) {
-      exemplars_.reset(config_.exemplar_top_k, total_slots + 1);
-      sdn_->set_exemplar_sink(&exemplars_);
-    }
+    timeline_.reset(total_slots + 1, group_count_);
+    exemplars_.reset(obs::kExemplarTopK, total_slots + 1);
   }
 }
 
@@ -460,10 +453,8 @@ void offloading_system::finish() {
   // Close the drain-tail telemetry window (responses that completed after
   // the last boundary); its slot index is one past the last boundary's.
   if (obs_ptr_ != nullptr) {
-    if (timeline_.enabled()) {
-      obs_ptr_->add(obs::counter::timeline_snapshots);
-      timeline_.snapshot(*obs_ptr_, metrics_.slots.size(), sim_.now());
-    }
+    obs_ptr_->add(obs::counter::timeline_snapshots);
+    timeline_.snapshot(*obs_ptr_, metrics_.slots.size(), sim_.now());
     exemplars_.roll_window(static_cast<std::uint32_t>(metrics_.slots.size()));
   }
 

@@ -100,22 +100,17 @@ struct system_config {
   util::time_ms background_burst_period = util::seconds(2);
 
   // --- observability ---
-  /// Master switch for the preregistered obs counters (SDN request
-  /// pipeline, PS backend, slot boundaries).  The registry itself is
-  /// always owned and preallocated by the system; off means components
-  /// get a nullptr and the recording sites reduce to one predictable
-  /// branch.  On by default — the counters are cheap enough to keep in
-  /// the allocation-free hot path (gated by bench/fleet_scale).
+  /// The one telemetry switch.  On, the system records the preregistered
+  /// obs counters (SDN request pipeline, PS backend, slot boundaries),
+  /// the per-slot timeline (counter deltas, gauge samples and windowed
+  /// per-group SLO histograms, one window per slot boundary plus the
+  /// drain tail) and the top-obs::kExemplarTopK slowest request
+  /// lifecycles per window.  The registry itself is always owned and
+  /// preallocated by the system; off means components get a nullptr and
+  /// the recording sites reduce to one predictable branch.  On by
+  /// default — the recording is cheap enough to keep in the
+  /// allocation-free hot path (gated by bench/fleet_scale).
   bool obs_counters = true;
-  /// Per-slot telemetry windows (obs::timeline): counter deltas, gauge
-  /// samples, and windowed per-group SLO histograms snapshotted at every
-  /// slot boundary plus one drain-tail window at finish().  Preallocated
-  /// in begin() once the slot count is known; requires obs_counters.
-  bool obs_timeline = true;
-  /// Tail-exemplar reservoir size: the K slowest request lifecycles per
-  /// slot window, captured at the response sink (0 disables).  Requires
-  /// obs_counters.
-  std::size_t exemplar_top_k = 4;
   /// Optional span tracer (not owned; must outlive the system).  When
   /// set, 1 in `trace_sample_every` requests records a lifecycle span
   /// into `trace_sink->ring(trace_ring)`.
@@ -246,11 +241,10 @@ class offloading_system : private response_sink {
   /// The run's observability registry (zeroed but valid when
   /// obs_counters is off).
   const obs::registry& observability() const noexcept { return obs_; }
-  /// Per-slot telemetry windows (empty when obs_timeline or obs_counters
-  /// is off, or before begin()).
+  /// Per-slot telemetry windows (empty when obs_counters is off, or
+  /// before begin()).
   const obs::timeline& timeline() const noexcept { return timeline_; }
-  /// Tail exemplars flushed so far (disabled when exemplar_top_k == 0 or
-  /// obs_counters is off).
+  /// Tail exemplars flushed so far (disabled when obs_counters is off).
   const obs::exemplar_reservoir& exemplars() const noexcept {
     return exemplars_;
   }

@@ -111,10 +111,13 @@ void validate(const scenario_spec& spec) {
     reject("session_probability must be in [0, 1]");
   }
   if (spec.gaps == gap_model::study_sessions) {
-    // The idle gaps are lognormal with mu = log(idle_gap_mean).
-    if (!(spec.idle_gap_mean > 0.0)) reject("idle_gap_mean must be positive");
-    if (!(spec.idle_gap_sigma >= 0.0)) {
-      reject("idle_gap_sigma must be non-negative");
+    // The idle gaps are lognormal with mu = log(idle_gap_mean); an
+    // infinite mean or sigma silences devices for good (or makes NaN gaps).
+    if (!(spec.idle_gap_mean > 0.0 && std::isfinite(spec.idle_gap_mean))) {
+      reject("idle_gap_mean must be positive and finite");
+    }
+    if (!(spec.idle_gap_sigma >= 0.0 && std::isfinite(spec.idle_gap_sigma))) {
+      reject("idle_gap_sigma must be non-negative and finite");
     }
   }
   // A NaN, infinite or zero rate (or gap) re-fires a device at one instant

@@ -109,8 +109,9 @@ struct scenario_spec {
 /// not in the catalog or whose capacity_per_instance is not positive and
 /// finite, a zero max_total_instances, a session_probability or
 /// promotion_probability outside [0, 1], a background_burst_period that is
-/// not positive and finite while bursts are on, a non-positive
-/// idle_gap_mean or negative idle_gap_sigma under study_sessions, and
+/// not positive and finite while bursts are on, an idle_gap_mean that is
+/// not positive and finite or an idle_gap_sigma that is not non-negative
+/// and finite under study_sessions, and
 /// degenerate weighted_pool weights with an error naming the field,
 /// instead of silently producing a degenerate run or failing every
 /// replication.  Throws std::invalid_argument.

@@ -54,8 +54,6 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
       exp::parallel_map(pool, shards, [&](std::size_t k) {
         shard_obs obs;
         obs.counters = options.obs_counters;
-        obs.timeline = options.obs_timeline;
-        obs.exemplar_top_k = options.exemplar_top_k;
         obs.tracer = tracer;
         obs.ring = k;
         obs.sample_every = options.trace_sample_every;
@@ -67,7 +65,7 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
   coordinator coord{fleet_allocation_shape(spec), options.ilp};
   coord.set_resilient_split(spec.faults.active());
   coord.set_observability(options.obs_counters, tracer, shards);
-  if (options.obs_counters && options.obs_timeline) {
+  if (options.obs_counters) {
     // One coordinator window per slot round; count the boundaries with
     // the same accumulated arithmetic as the round loop below.
     std::size_t expected_slots = 0;
@@ -202,22 +200,18 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
   // timelines in shard-index order (aligned on slot), the coordinator's
   // last; then the fleet-wide per-window tail exemplars, concatenated in
   // shard order and re-cut to the top-K slowest per window.
-  if (options.obs_counters && options.obs_timeline) {
+  if (options.obs_counters) {
+    std::vector<obs::exemplar_record> all;
     for (const auto& member : members) {
       result.timeline.merge(member->timeline());
+      const auto& records = member->exemplars().records();
+      all.insert(all.end(), records.begin(), records.end());
     }
     result.timeline.merge(coord.timeline());
     result.observability.set_gauge(obs::gauge::timeline_windows,
                                    result.timeline.size());
-  }
-  if (options.obs_counters && options.exemplar_top_k > 0) {
-    std::vector<obs::exemplar_record> all;
-    for (const auto& member : members) {
-      const auto& records = member->exemplars().records();
-      all.insert(all.end(), records.begin(), records.end());
-    }
     result.exemplars =
-        obs::top_exemplars_per_window(std::move(all), options.exemplar_top_k);
+        obs::top_exemplars_per_window(std::move(all), obs::kExemplarTopK);
   }
 
   result.slots = coord.records();

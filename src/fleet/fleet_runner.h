@@ -32,17 +32,13 @@ struct fleet_options {
   std::size_t shards = 0;
   /// Fleet ILP knobs (node budget, tolerances).
   ilp::ilp_options ilp;
-  /// Preregistered counters in every shard and the coordinator, merged in
-  /// shard order into fleet_result::observability.  Off reduces every
-  /// recording site to one branch on a constant.
+  /// The one telemetry switch.  On, every shard and the coordinator keep
+  /// preregistered counters and per-slot telemetry windows, merged in
+  /// shard order into fleet_result::observability and ::timeline, and
+  /// every shard keeps a tail-exemplar reservoir whose per-window fleet
+  /// top-obs::kExemplarTopK lands in fleet_result::exemplars.  Off
+  /// reduces every recording site to one branch on a constant.
   bool obs_counters = true;
-  /// Per-slot telemetry windows in every shard and the coordinator,
-  /// merged in the same order into fleet_result::timeline.  Requires
-  /// obs_counters.
-  bool obs_timeline = true;
-  /// Tail-exemplar reservoir size per shard (0 = off); the per-window
-  /// fleet top-K lands in fleet_result::exemplars.  Requires obs_counters.
-  std::size_t exemplar_top_k = 4;
   /// Optional span tracer (not owned).  Ring layout: ring k is shard k's,
   /// ring `shards` the coordinator's, rings `shards + 1 + w` the pool
   /// workers' (attached only when the tracer has that many rings).

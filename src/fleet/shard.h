@@ -33,9 +33,7 @@ std::size_t shard_user_count(std::size_t user_count, std::size_t index,
 /// (written only by whichever pool thread advances this shard — the
 /// bulk-synchronous rounds order the writes).
 struct shard_obs {
-  bool counters = true;            ///< preregistered counters + SLO digest
-  bool timeline = true;            ///< per-slot telemetry windows
-  std::size_t exemplar_top_k = 4;  ///< tail reservoir size (0 = off)
+  bool counters = true;            ///< the one telemetry switch
   obs::tracer* tracer = nullptr;   ///< not owned; nullptr = no spans
   std::size_t ring = 0;            ///< this shard's span ring
   std::size_t sample_every = 1024; ///< request-lifecycle sampling period

@@ -22,6 +22,10 @@
 
 namespace mca::obs {
 
+/// Tail exemplars kept per slot window, per shard and after the fleet
+/// merge, whenever telemetry is on.
+inline constexpr std::size_t kExemplarTopK = 4;
+
 /// One tail exemplar: the lifecycle of one of the slowest requests in
 /// its window.  `slot` is stamped at flush time by roll_window().
 struct exemplar_record {

@@ -112,7 +112,6 @@ void registry::merge(const registry& other) {
     mine.samples += theirs.samples;
     mine.sum += theirs.sum;
     if (theirs.max > mine.max) mine.max = theirs.max;
-    mine.histo.merge(theirs.histo);
   }
   resize_groups(other.slo_.size());
   for (std::size_t g = 0; g < other.slo_.size(); ++g) {
@@ -130,9 +129,6 @@ std::uint64_t registry::fingerprint() const noexcept {
     fnv.word(st.samples);
     fnv.real(st.sum);
     fnv.real(st.max);
-    for (std::size_t b = 0; b < st.histo.bucket_count(); ++b) {
-      fnv.word(st.histo.count_in_bucket(b));
-    }
   }
   fnv.word(slo_.size());
   for (const util::histogram& h : slo_) {

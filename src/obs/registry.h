@@ -111,8 +111,7 @@ inline constexpr std::size_t kGaugeCount =
 const char* gauge_name(gauge g) noexcept;
 
 /// Distribution-valued observations (queue depths, batch sizes): each
-/// series keeps count/sum/max plus a log2-bucketed histogram, all
-/// preallocated.
+/// series keeps count/sum/max, all preallocated.
 enum class series : std::uint32_t {
   ps_queue_depth,      ///< instance queue depth at submit
   ps_event_batch,      ///< completions drained per event
@@ -129,7 +128,6 @@ struct series_stats {
   std::uint64_t samples = 0;
   double sum = 0.0;
   double max = 0.0;
-  util::log_histogram histo{32};
 
   double mean() const noexcept {
     return samples == 0 ? 0.0 : sum / static_cast<double>(samples);
@@ -174,7 +172,6 @@ class registry {
     ++st.samples;
     st.sum += v;
     if (v > st.max) st.max = v;
-    st.histo.add(v);
   }
   const series_stats& stats(series s) const noexcept {
     return series_[static_cast<std::size_t>(s)];

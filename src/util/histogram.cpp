@@ -1,8 +1,6 @@
 #include "util/histogram.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace mca::util {
@@ -14,7 +12,7 @@ histogram::histogram(double lo, double hi, std::size_t bins)
 }
 
 // One bin increment per successful response (digest latency + per-group
-// SLO histograms) and per series observation (log buckets).
+// SLO histograms).
 // mca:hot-path-begin(histogram-add)
 void histogram::add(double x) noexcept {
   const double offset = (x - lo_) / width_;
@@ -112,52 +110,6 @@ double histogram::quantile_interpolated(double q) const {
     seen += c;
   }
   return lo_value + frac * (hi_value - lo_value);
-}
-
-void log_histogram::merge(const log_histogram& other) {
-  if (counts_.size() != other.counts_.size()) {
-    throw std::invalid_argument{"log_histogram: merge of mismatched layouts"};
-  }
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    counts_[b] += other.counts_[b];
-  }
-  total_ += other.total_;
-}
-
-log_histogram::log_histogram(std::size_t max_buckets)
-    : counts_(std::max<std::size_t>(max_buckets, 2), 0) {}
-
-// mca:hot-path-begin(histogram-add)
-void log_histogram::add(double x) noexcept {
-  std::size_t bucket = 0;
-  if (x >= 1.0) {
-    // Clamp in double space first: log2(+inf) is +inf, and casting that
-    // (or any exponent past the bucket range) to size_t is UB.  Finite
-    // doubles have exponents < 1100, comfortably inside the clamp.
-    const double exponent =
-        std::min(std::log2(x), static_cast<double>(counts_.size() - 1));
-    bucket = std::min(static_cast<std::size_t>(exponent) + 1,
-                      counts_.size() - 1);
-  }
-  ++counts_[bucket];
-  ++total_;
-}
-// mca:hot-path-end
-
-double log_histogram::bucket_lower(std::size_t b) const noexcept {
-  if (b == 0) return 0.0;
-  return std::pow(2.0, static_cast<double>(b - 1));
-}
-
-std::string log_histogram::to_string() const {
-  std::ostringstream out;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    if (counts_[b] == 0) continue;
-    out << "[" << bucket_lower(b) << ","
-        << (b + 1 < counts_.size() ? bucket_lower(b + 1) : -1.0) << "): "
-        << counts_[b] << " ";
-  }
-  return out.str();
 }
 
 }  // namespace mca::util

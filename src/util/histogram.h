@@ -1,8 +1,7 @@
-// Fixed-width and logarithmic histograms for latency distributions.
+// Fixed-width histogram for latency distributions.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace mca::util {
@@ -46,28 +45,6 @@ class histogram {
  private:
   double lo_;
   double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
-/// Power-of-two bucketed histogram (HdrHistogram-lite) for long-tailed
-/// latency data; bucket i covers [2^i, 2^{i+1}) with a shared [0,1) bucket.
-class log_histogram {
- public:
-  explicit log_histogram(std::size_t max_buckets = 32);
-
-  void add(double x) noexcept;
-  /// Combines bucket counts; throws std::invalid_argument on a bucket
-  /// count mismatch.
-  void merge(const log_histogram& other);
-  std::size_t total() const noexcept { return total_; }
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::size_t count_in_bucket(std::size_t b) const { return counts_.at(b); }
-  double bucket_lower(std::size_t b) const noexcept;
-  /// One-line textual rendering ("[lo,hi): n ..."), for debug output.
-  std::string to_string() const;
-
- private:
   std::vector<std::size_t> counts_;
   std::size_t total_ = 0;
 };

@@ -2,6 +2,7 @@
 // every trace-point call, each with the simulated time it arrived.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/sdn_accelerator.h"
@@ -34,6 +35,16 @@ class recording_sink final : public core::response_sink {
   void on_trace(const workload::offload_request& request, group_id group,
                 util::time_ms logged_at) override {
     traces.push_back({request, group, logged_at, sim_.now()});
+  }
+
+  /// Responses that arrived as successes / as failure notices.
+  std::size_t successes() const noexcept {
+    std::size_t n = 0;
+    for (const response& r : responses) n += r.timing.success ? 1 : 0;
+    return n;
+  }
+  std::size_t failures() const noexcept {
+    return responses.size() - successes();
   }
 
   std::vector<response> responses;

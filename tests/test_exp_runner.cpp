@@ -330,6 +330,27 @@ TEST(ScenarioSpecValidation, RejectsDegenerateBurstPeriodUpfront) {
   EXPECT_NO_THROW(validate(spec));
 }
 
+TEST(ScenarioSpecValidation, RejectsDegenerateIdleGapMeanUpfront) {
+  for (const double mean : {0.0, -1.0,
+                            std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    auto spec = tiny_scenario();
+    spec.gaps = gap_model::study_sessions;
+    spec.idle_gap_mean = mean;
+    expect_rejected_upfront(spec, "idle_gap_mean");
+  }
+}
+
+TEST(ScenarioSpecValidation, RejectsDegenerateIdleGapSigmaUpfront) {
+  for (const double sigma : {-0.5, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    auto spec = tiny_scenario();
+    spec.gaps = gap_model::study_sessions;
+    spec.idle_gap_sigma = sigma;
+    expect_rejected_upfront(spec, "idle_gap_sigma");
+  }
+}
+
 TEST(ScenarioSpecValidation, GroupCountCoversSparseGroupIds) {
   auto spec = tiny_scenario();
   EXPECT_EQ(group_count_of(spec), 3u);  // groups 1 and 2 -> ids 0..2

@@ -338,8 +338,8 @@ TEST_F(SdnResilienceTest, TimeoutRetriesThenFallsBackLocally) {
   EXPECT_GE(observed.routing, 355.0);
   EXPECT_LT(observed.routing, 365.0);
   // The stale backend completions (epoch-orphaned) must not double count.
-  EXPECT_EQ(sdn.succeeded(), 1u);
-  EXPECT_EQ(sdn.failed(), 0u);
+  EXPECT_EQ(sink.successes(), 1u);
+  EXPECT_EQ(sink.failures(), 0u);
 }
 
 TEST_F(SdnResilienceTest, RetryBudgetExhaustionDeliversFailureNotice) {
@@ -359,8 +359,8 @@ TEST_F(SdnResilienceTest, RetryBudgetExhaustionDeliversFailureNotice) {
   EXPECT_FALSE(observed.success);
   EXPECT_FALSE(observed.local);
   EXPECT_DOUBLE_EQ(observed.cloud, 0.0);
-  EXPECT_EQ(sdn.failed(), 1u);
-  EXPECT_EQ(sdn.succeeded(), 0u);
+  EXPECT_EQ(sink.failures(), 1u);
+  EXPECT_EQ(sink.successes(), 0u);
 }
 
 TEST_F(SdnResilienceTest, PreemptedInFlightRetriesOnSurvivingInstance) {
@@ -389,8 +389,8 @@ TEST_F(SdnResilienceTest, PreemptedInFlightRetriesOnSurvivingInstance) {
   EXPECT_TRUE(observed.success);
   EXPECT_FALSE(observed.local);
   EXPECT_NEAR(observed.cloud, 288.0, 1e-6);  // full re-execution
-  EXPECT_EQ(sdn.succeeded(), 1u);
-  EXPECT_EQ(sdn.failed(), 0u);
+  EXPECT_EQ(sink.successes(), 1u);
+  EXPECT_EQ(sink.failures(), 0u);
 }
 
 TEST_F(SdnResilienceTest, BackoffJitterIsDeterministicPerRequest) {

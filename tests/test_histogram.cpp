@@ -141,59 +141,5 @@ TEST(Histogram, ConstructorValidation) {
   EXPECT_THROW(histogram(2.0, 1.0, 4), std::invalid_argument);
 }
 
-TEST(LogHistogram, PowerOfTwoBuckets) {
-  log_histogram h;
-  h.add(0.5);   // bucket 0: [0,1)
-  h.add(1.0);   // bucket 1: [1,2)
-  h.add(3.0);   // bucket 2: [2,4)
-  h.add(1000);  // bucket 10: [512,1024)
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count_in_bucket(0), 1u);
-  EXPECT_EQ(h.count_in_bucket(1), 1u);
-  EXPECT_EQ(h.count_in_bucket(2), 1u);
-  EXPECT_EQ(h.count_in_bucket(10), 1u);
-}
-
-TEST(LogHistogram, BucketLowerBounds) {
-  log_histogram h;
-  EXPECT_DOUBLE_EQ(h.bucket_lower(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lower(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lower(4), 8.0);
-}
-
-TEST(LogHistogram, SaturatesAtLastBucket) {
-  log_histogram h{4};
-  h.add(1e12);
-  EXPECT_EQ(h.count_in_bucket(3), 1u);
-}
-
-TEST(LogHistogram, MergeCombinesBuckets) {
-  log_histogram a;
-  log_histogram b;
-  a.add(0.5);
-  a.add(3.0);
-  b.add(3.5);
-  b.add(1000.0);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.count_in_bucket(0), 1u);
-  EXPECT_EQ(a.count_in_bucket(2), 2u);
-  EXPECT_EQ(a.count_in_bucket(10), 1u);
-  EXPECT_EQ(b.total(), 2u);  // b untouched
-}
-
-TEST(LogHistogram, MergeRejectsMismatchedBucketCounts) {
-  log_histogram a{8};
-  log_histogram b{16};
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(LogHistogram, ToStringListsNonEmpty) {
-  log_histogram h;
-  h.add(3.0);
-  const auto text = h.to_string();
-  EXPECT_NE(text.find("[2,4): 1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace mca::util

@@ -412,9 +412,23 @@ TEST(ObsFleet, CountersOffLeavesRegistryZeroAndResultIdentical) {
       fleet::run_fleet(spec, off, task_pool, pool);
 
   EXPECT_EQ(with_counters.fingerprint(), without.fingerprint());
-  EXPECT_EQ(without.observability.get(counter::sdn_requests), 0u);
-  EXPECT_EQ(without.observability.get(counter::ilp_solves), 0u);
   EXPECT_GT(with_counters.observability.get(counter::sdn_requests), 0u);
+  EXPECT_TRUE(with_counters.timeline.enabled());
+  EXPECT_FALSE(with_counters.exemplars.empty());
+  // The one switch takes the whole layer with it: counters, series, SLO
+  // histograms, the timeline and the tail exemplars.
+  for (std::size_t c = 0; c < kCounterCount; ++c) {
+    EXPECT_EQ(without.observability.get(static_cast<counter>(c)), 0u)
+        << counter_name(static_cast<counter>(c));
+  }
+  for (std::size_t i = 0; i < kSeriesCount; ++i) {
+    EXPECT_EQ(without.observability.stats(static_cast<series>(i)).samples, 0u);
+  }
+  for (std::size_t g = 0; g < without.observability.group_count(); ++g) {
+    EXPECT_EQ(without.observability.group_slo(g).total(), 0u) << g;
+  }
+  EXPECT_FALSE(without.timeline.enabled());
+  EXPECT_TRUE(without.exemplars.empty());
 }
 
 TEST(ObsFleet, SlotRoundSpanStructureUnderFixedSeed) {

@@ -420,32 +420,6 @@ TEST(ObsTimelineFleet, FingerprintIdenticalBetweenTracedAndUntracedLegs) {
   EXPECT_EQ(traced.timeline.fingerprint(), untraced.timeline.fingerprint());
 }
 
-TEST(ObsTimelineFleet, TimelineOffLeavesResultIdentical) {
-  const exp::scenario_spec spec = timeline_fleet_scenario();
-  const tasks::task_pool task_pool;
-  exp::thread_pool pool{2};
-
-  fleet::fleet_options on;
-  const fleet::fleet_result with_timeline =
-      fleet::run_fleet(spec, on, task_pool, pool);
-  fleet::fleet_options off;
-  off.obs_timeline = false;
-  off.exemplar_top_k = 0;
-  const fleet::fleet_result without =
-      fleet::run_fleet(spec, off, task_pool, pool);
-
-  EXPECT_EQ(with_timeline.fingerprint(), without.fingerprint());
-  // The timeline layer's own meta-counters stop moving when it is off;
-  // everything the simulation itself counts is unchanged.
-  EXPECT_GT(with_timeline.observability.get(counter::timeline_snapshots), 0u);
-  EXPECT_EQ(without.observability.get(counter::timeline_snapshots), 0u);
-  EXPECT_EQ(without.observability.get(counter::exemplar_admitted), 0u);
-  EXPECT_EQ(with_timeline.observability.get(counter::sdn_requests),
-            without.observability.get(counter::sdn_requests));
-  EXPECT_FALSE(without.timeline.enabled());
-  EXPECT_TRUE(without.exemplars.empty());
-}
-
 TEST(ObsTimelineFleet, ExemplarsDeterministicAcrossPoolSizes) {
   const exp::scenario_spec spec = timeline_fleet_scenario();
   const tasks::task_pool task_pool;
@@ -458,7 +432,7 @@ TEST(ObsTimelineFleet, ExemplarsDeterministicAcrossPoolSizes) {
         fleet::run_fleet(spec, options, task_pool, pool);
     ASSERT_FALSE(result.exemplars.empty());
     EXPECT_LE(result.exemplars.size(),
-              options.exemplar_top_k * (result.slot_count + 1));
+              kExemplarTopK * (result.slot_count + 1));
     if (jobs == 1) {
       first = result.exemplars;
     } else {

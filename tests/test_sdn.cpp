@@ -151,23 +151,34 @@ TEST_F(SdnTest, LogsTraceRecordPerSuccess) {
   EXPECT_GT(record.rtt_ms, 400.0);  // T1 + T2 + Tcloud
 }
 
-TEST_F(SdnTest, NoLoggingWhenDisabled) {
+TEST_F(SdnTest, UnretainedRecordsStillFireTheTracePoint) {
   backend_.launch(1, exact_type());
-  config_.log_traces = false;
+  config_.retain_trace_records = false;
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{5}};
+  recording_sink sink{sim_};
+  sdn.set_response_sink(&sink);
   sdn.submit(make_request(1), 1, 1.0);
   sim_.run();
+  EXPECT_EQ(sink.traces.size(), 1u);
   EXPECT_EQ(log_.size(), 0u);
 }
 
-TEST_F(SdnTest, NullLogPointerIsSafe) {
+TEST_F(SdnTest, TracePointFiresWithoutALog) {
+  // The trace point feeds the predictor; whether a record is stored is a
+  // separate choice, so a null log must not silence it.
   backend_.launch(1, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), nullptr, config_,
                       util::rng{6}};
-  sdn.submit(make_request(1), 1, 1.0);
+  recording_sink sink{sim_};
+  sdn.set_response_sink(&sink);
+  sdn.submit(make_request(3), 1, 1.0);
   sim_.run();
-  EXPECT_EQ(sdn.succeeded(), 1u);
+  ASSERT_EQ(sink.traces.size(), 1u);
+  EXPECT_EQ(sink.traces[0].request.user, 3u);
+  EXPECT_EQ(sink.traces[0].group, 1u);
+  EXPECT_EQ(sink.successes(), 1u);
+  EXPECT_EQ(log_.size(), 0u);
 }
 
 TEST_F(SdnTest, MissingGroupFailsTheRequest) {
@@ -181,8 +192,8 @@ TEST_F(SdnTest, MissingGroupFailsTheRequest) {
   const request_timing& observed = sink.responses[0].timing;
   EXPECT_FALSE(observed.success);
   EXPECT_EQ(observed.cloud, 0.0);
-  EXPECT_EQ(sdn.failed(), 1u);
-  EXPECT_EQ(sdn.succeeded(), 0u);
+  EXPECT_EQ(sink.failures(), 1u);
+  EXPECT_TRUE(sink.traces.empty());
   EXPECT_EQ(log_.size(), 0u);  // failures are not logged as processed
 }
 
@@ -199,13 +210,10 @@ TEST_F(SdnTest, SaturatedBackendDropsAreReported) {
     sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0);
   }
   sim_.run();
-  int failures = 0;
-  for (const auto& response : sink.responses) {
-    if (!response.timing.success) ++failures;
-  }
   EXPECT_EQ(sdn.received(), burst);
-  EXPECT_GT(failures, 0);
-  EXPECT_EQ(sdn.succeeded() + sdn.failed(), burst);
+  EXPECT_GT(sink.failures(), 0u);
+  EXPECT_EQ(sink.responses.size(), burst);
+  EXPECT_EQ(sink.traces.size(), sink.successes());
 }
 
 TEST_F(SdnTest, CountsMultipleGroupsSeparately) {
